@@ -20,7 +20,7 @@ from .config import parse_config
 from .errors import ConfigError, HejdStepError
 from .inversion import QUANTITIES, gs_weights, price_summary, price_time_domain
 from .manifest import build_manifest
-from .montecarlo import PathConfig, mc_euro_step_price, verify_duality
+from .montecarlo import PathConfig, verify_duality
 from .roots import find_roots
 from .tables import TABLE_IDS, build_table
 
@@ -181,9 +181,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     model, spec = parse_config(args.config)
     cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
     engine = price_time_domain(model, spec, args.t, args.x, "euro", gs_weights(args.gs_order))
-    mc = mc_euro_step_price(model, spec, args.t, args.x, cfg)
-    z_engine = (mc.value - engine) / mc.std_error if mc.std_error > 0 else math.inf
     duality = verify_duality(model, spec, args.t, args.x, cfg)
+    mc = duality.call  # the stream-0 call estimate, as mc_euro_step_price gives it
+    z_engine = (mc.value - engine) / mc.std_error if mc.std_error > 0 else math.inf
     payload = {
         "engine_euro": engine,
         "mc_euro": mc.value,

@@ -68,6 +68,8 @@ class HejdModel:
     _xi: np.ndarray = field(init=False, repr=False, compare=False)
     _q: np.ndarray = field(init=False, repr=False, compare=False)
     _eta: np.ndarray = field(init=False, repr=False, compare=False)
+    _zeta: float = field(init=False, repr=False, compare=False)
+    _drift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "up_weights", _as_float_tuple(self.up_weights))
@@ -114,6 +116,15 @@ class HejdModel:
         object.__setattr__(self, "_xi", np.asarray(self.up_rates, dtype=float))
         object.__setattr__(self, "_q", np.asarray(self.down_weights, dtype=float))
         object.__setattr__(self, "_eta", np.asarray(self.down_rates, dtype=float))
+        zeta = 0.0
+        if self.m + self.n:
+            zeta = float(
+                np.sum(self._p * self._xi / (self._xi - 1.0))
+                + np.sum(self._q * self._eta / (self._eta + 1.0))
+                - 1.0
+            )
+        object.__setattr__(self, "_zeta", zeta)
+        object.__setattr__(self, "_drift", self.r - self.delta - self.lam * zeta - 0.5 * self.sigma**2)
 
     @property
     def m(self) -> int:
@@ -126,18 +137,12 @@ class HejdModel:
     @property
     def zeta(self) -> float:
         """Mean percentage jump size E[e^J - 1] (0 for the no-jump model)."""
-        if self.m + self.n == 0:
-            return 0.0
-        return float(
-            np.sum(self._p * self._xi / (self._xi - 1.0))
-            + np.sum(self._q * self._eta / (self._eta + 1.0))
-            - 1.0
-        )
+        return self._zeta
 
     @property
     def drift(self) -> float:
         """Martingale-consistent drift of the log-price."""
-        return self.r - self.delta - self.lam * self.zeta - 0.5 * self.sigma**2
+        return self._drift
 
     @property
     def poles(self) -> tuple[float, ...]:

@@ -8,12 +8,21 @@ time below the barrier is accumulated with the left-endpoint rule on that
 merged grid.  Randomness comes from counter-based Philox streams keyed by
 (seed, stream, batch), so results are bit-reproducible for a fixed
 configuration regardless of batch scheduling.
+
+Batches run on threads: the calling thread and workers - 1 helper threads
+take batch indices from a shared counter, with workers = min(batches, CPUs
+in the process's affinity mask, else os.cpu_count()).  One batch or one CPU
+runs the batches in order on the calling thread.  numpy releases the
+interpreter lock in the normal fills and array arithmetic that do the work.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -147,6 +156,121 @@ def _advance_jump_paths(
     X[:, jp] = left + drift * dt_fin + sigma * np.sqrt(dt_fin) * zs
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_batches(run_batch: Callable[[int], None], n_batches: int) -> None:
+    """Call run_batch(b) once for every b in range(n_batches).
+
+    With more than one batch and CPU, workers - 1 helper threads and the
+    calling thread pull batch indices from a shared counter until none are
+    left, workers = min(n_batches, usable CPUs).  The helpers are joined
+    before return; the first exception any worker raised is re-raised here.
+    """
+    workers = min(n_batches, _usable_cpus())
+    if workers <= 1:
+        for b in range(n_batches):
+            run_batch(b)
+        return
+
+    pending = iter(range(n_batches))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                b = next(pending, None)
+            if b is None:
+                return
+            try:
+                run_batch(b)
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work, name=f"hejdstep-mc-{i}", daemon=True)
+               for i in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _simulate_batch(
+    model: HejdModel,
+    x_barrier: float,
+    horizon: float,
+    dt: float,
+    n_steps: int,
+    nb: int,
+    antithetic: bool,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-price increments X and occupation times of one batch of nb base
+    paths, each of shape (n_rep, nb); row 1 is the antithetic mirror."""
+    n_rep = 2 if antithetic else 1
+    drift, sigma = model.drift, model.sigma
+    X = np.zeros((n_rep, nb))
+    occ = np.zeros((n_rep, nb))
+    if model.lam > 0.0:
+        _, jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
+        jstep = np.minimum((jt / dt).astype(np.int64), n_steps - 1)
+        order = np.lexsort((jt, jpaths, jstep))
+        jt, js, jpaths, jstep = jt[order], js[order], jpaths[order], jstep[order]
+        step_bounds = np.searchsorted(jstep, np.arange(n_steps + 1))
+    else:
+        jt = np.empty(0)
+        step_bounds = np.zeros(n_steps + 1, dtype=np.int64)
+
+    below = np.empty((n_rep, nb), dtype=bool)
+    zbuf = np.empty(nb)
+    inc = np.empty(nb)
+    for k in range(n_steps):
+        t0 = k * dt
+        t1 = min((k + 1) * dt, horizon)
+        h = t1 - t0
+        lo, hi = step_bounds[k], step_bounds[k + 1]
+        if hi > lo:
+            # the lexsort orders each step's jumps by path, so the distinct
+            # jumping paths are where the path index changes
+            seg = jpaths[lo:hi]
+            jp = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
+            x_old = X[:, jp]
+            occ_old = occ[:, jp]
+        # flat update of every path; jump paths are rolled back below
+        rng.standard_normal(out=zbuf)
+        np.less(X, x_barrier, out=below)
+        np.add(occ, h, out=occ, where=below)
+        scale = sigma * math.sqrt(h)
+        drift_h = drift * h
+        np.multiply(zbuf, scale, out=inc)
+        if antithetic:
+            np.subtract(drift_h, inc, out=zbuf)  # the draws are spent once scaled
+            X[1] += zbuf
+        inc += drift_h
+        X[0] += inc
+        if hi > lo:
+            X[:, jp] = x_old
+            occ[:, jp] = occ_old
+            _advance_jump_paths(
+                X, occ, jp, jpaths[lo:hi], jt[lo:hi], js[lo:hi],
+                t0, t1, drift, sigma, x_barrier, rng, antithetic,
+            )
+
+    np.clip(occ, 0.0, horizon, out=occ)
+    return X, occ
+
+
 def simulate_terminal(
     model: HejdModel,
     x: float,
@@ -159,7 +283,9 @@ def simulate_terminal(
 
     Returns (s_terminal, occupation), each of length cfg.n_paths.  With
     antithetic sampling the arrays hold the base half followed by the
-    mirrored half.
+    mirrored half.  Batches may run on several threads; each draws from its
+    own (seed, stream, batch) stream and fills only its own slices, so the
+    result is bit-identical whatever the number of threads or their order.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be strictly positive")
@@ -175,70 +301,22 @@ def simulate_terminal(
     x_barrier = -math.inf if barrier == 0.0 else (math.inf if math.isinf(barrier) else math.log(barrier / x))
 
     n_base = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    n_rep = 2 if cfg.antithetic else 1
-    drift, sigma = model.drift, model.sigma
     s_out = np.empty(cfg.n_paths)
     occ_out = np.empty(cfg.n_paths)
 
-    done = 0
-    batch_index = 0
-    while done < n_base:
-        nb = min(cfg.batch_size, n_base - done)
-        rng = _rng(cfg.seed, stream, batch_index)
-        X = np.zeros((n_rep, nb))
-        occ = np.zeros((n_rep, nb))
-        if model.lam > 0.0:
-            counts, jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
-            jstep = np.minimum((jt / cfg.dt).astype(np.int64), n_steps - 1)
-            order = np.lexsort((jt, jpaths, jstep))
-            jt, js, jpaths, jstep = jt[order], js[order], jpaths[order], jstep[order]
-            step_bounds = np.searchsorted(jstep, np.arange(n_steps + 1))
-        else:
-            jt = np.empty(0)
-            step_bounds = np.zeros(n_steps + 1, dtype=np.int64)
-
-        below = np.empty((n_rep, nb), dtype=bool)
-        zbuf = np.empty(nb)
-        for k in range(n_steps):
-            t0 = k * cfg.dt
-            t1 = min((k + 1) * cfg.dt, horizon)
-            h = t1 - t0
-            lo, hi = step_bounds[k], step_bounds[k + 1]
-            if hi > lo:
-                jp = np.unique(jpaths[lo:hi])
-                x_old = X[:, jp].copy()
-                occ_old = occ[:, jp].copy()
-            # flat update of every path; jump paths are rolled back below
-            rng.standard_normal(out=zbuf)
-            np.less(X, x_barrier, out=below)
-            np.add(occ, h, out=occ, where=below)
-            scale = sigma * math.sqrt(h)
-            if cfg.antithetic:
-                X[0] += drift * h + scale * zbuf
-                X[1] += drift * h - scale * zbuf
-            else:
-                X[0] += drift * h + scale * zbuf
-            if hi > lo:
-                X[:, jp] = x_old
-                occ[:, jp] = occ_old
-                _advance_jump_paths(
-                    X, occ, jp, jpaths[lo:hi], jt[lo:hi], js[lo:hi],
-                    t0, t1, drift, sigma, x_barrier, rng, cfg.antithetic,
-                )
-
-        np.clip(occ, 0.0, horizon, out=occ)
+    def run_batch(b: int) -> None:
+        lo = b * cfg.batch_size
+        nb = min(cfg.batch_size, n_base - lo)
+        X, occ = _simulate_batch(model, x_barrier, horizon, cfg.dt, n_steps, nb,
+                                 cfg.antithetic, _rng(cfg.seed, stream, b))
         s_batch = x * np.exp(X)
-        if cfg.antithetic:
-            half = n_base
-            s_out[done : done + nb] = s_batch[0]
-            s_out[half + done : half + done + nb] = s_batch[1]
-            occ_out[done : done + nb] = occ[0]
-            occ_out[half + done : half + done + nb] = occ[1]
-        else:
-            s_out[done : done + nb] = s_batch[0]
-            occ_out[done : done + nb] = occ[0]
-        done += nb
-        batch_index += 1
+        for rep in range(len(X)):
+            # the mirrored half starts at n_base
+            at = rep * n_base + lo
+            s_out[at : at + nb] = s_batch[rep]
+            occ_out[at : at + nb] = occ[rep]
+
+    _run_batches(run_batch, -(-n_base // cfg.batch_size))
     return s_out, occ_out
 
 

@@ -248,7 +248,9 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
             residual_inf=resid, cond_estimate=cond,
         )
 
-    roots_low = find_roots(model, r + theta - rho)
+    # r + theta - 0.0 == r + theta exactly, so a standard contract's low
+    # region shares the mid-region roots
+    roots_low = roots_mid if rho == 0.0 else find_roots(model, r + theta - rho)
     bL = roots_low.betas
     kl = k - ell
     size = 2 * mm + 2 * n + 4

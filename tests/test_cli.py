@@ -9,7 +9,9 @@ import math
 
 import pytest
 
+from hejdstep import PathConfig, mc_euro_step_price
 from hejdstep.cli import main
+from hejdstep.config import parse_config
 
 KOU_CONFIG = """\
 # lambda-ladder market, step contract
@@ -239,6 +241,12 @@ class TestVerify:
         doc = json.loads(out1)
         assert abs(doc["z_engine_vs_mc"]) < 4.0
         assert abs(doc["z_duality"]) < 4.0
+        # the reported MC estimate is the duality check's call side, and it is
+        # the estimate mc_euro_step_price gives for the same configuration
+        assert doc["mc_euro"] == doc["duality_call"]
+        model, spec = parse_config(config_path)
+        direct = mc_euro_step_price(model, spec, 0.25, 100.0, PathConfig(n_paths=20_000, seed=3))
+        assert (doc["mc_euro"], doc["mc_se"]) == (direct.value, direct.std_error)
         _, out2 = run_cli(capsys, *args)
         d1, d2 = json.loads(out1), json.loads(out2)
         d1.pop("manifest"), d2.pop("manifest")  # timestamps differ

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ import pytest
 from hejdstep import (
     BudgetError,
     DownOutStepSpec,
+    HejdModel,
     PathConfig,
     mc_euro_step_price,
     price_time_domain,
     simulate_terminal,
     verify_duality,
 )
+from hejdstep import montecarlo
 
 
 class TestPathConfig:
@@ -77,13 +81,47 @@ class TestDeterminism:
         b = mc_euro_step_price(kou_model, step_spec, 0.3, 100.0, PathConfig(n_paths=20_000, seed=2))
         assert a.value != b.value
 
-    def test_batch_size_invariance(self, kou_model, step_spec):
-        # partitioning must not change the estimate (fixed per-batch streams)
-        a = mc_euro_step_price(kou_model, step_spec, 0.2, 100.0,
-                               PathConfig(n_paths=32_768, seed=5, batch_size=1 << 15))
-        b = mc_euro_step_price(kou_model, step_spec, 0.2, 100.0,
-                               PathConfig(n_paths=32_768, seed=5, batch_size=1 << 15))
-        assert a.value == b.value
+    def test_schedule_invariance(self, monkeypatch, bs_model, kou_model):
+        # threaded batches must reproduce a serial run of the same batches
+        # bit for bit; 20_000 paths in batches of 8192 leave an uneven last batch
+        mix = HejdModel(r=0.03, delta=0.01, sigma=0.3, lam=10.0,
+                        up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 20.0, 40.0),
+                        down_weights=(0.25, 0.2, 0.1), down_rates=(5.0, 15.0, 30.0))
+        threads_before = threading.active_count()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for model in (bs_model, kou_model, mix):
+                for antithetic in (False, True):
+                    cfg = PathConfig(n_paths=20_000, seed=8, antithetic=antithetic, batch_size=8192)
+                    runs = []
+                    for cpus in (1, 4):
+                        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+                        runs.append(simulate_terminal(model, 100.0, 99.0, 0.05, cfg, stream=1))
+                    (s1, o1), (s4, o4) = runs
+                    assert s1.tobytes() == s4.tobytes() and o1.tobytes() == o4.tobytes()
+                    assert 0.0 < o1.max()
+        finally:
+            sys.setswitchinterval(switch)
+        assert threading.active_count() == threads_before
+
+    def test_helper_failure_reaches_caller(self, monkeypatch, kou_model):
+        helper_ran = threading.Event()
+
+        def failing_batch(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_ran.wait(timeout=30.0)
+                return np.zeros((1, args[5])), np.zeros((1, args[5]))
+            helper_ran.set()
+            raise FloatingPointError("batch failed")
+
+        threads_before = threading.active_count()
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_simulate_batch", failing_batch)
+        cfg = PathConfig(n_paths=40_000, batch_size=8192)
+        with pytest.raises(FloatingPointError, match="batch failed"):
+            simulate_terminal(kou_model, 100.0, 95.0, 0.01, cfg)
+        assert threading.active_count() == threads_before
 
 
 class TestPricingAgreement:
