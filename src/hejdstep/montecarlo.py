@@ -166,17 +166,13 @@ def _usable_cpus() -> int:
 def _run_batches(run_batch: Callable[[int], None], n_batches: int) -> None:
     """Call run_batch(b) once for every b in range(n_batches).
 
-    With more than one batch and CPU, workers - 1 helper threads and the
-    calling thread pull batch indices from a shared counter until none are
-    left, workers = min(n_batches, usable CPUs).  The helpers are joined
-    before return; the first exception any worker raised is re-raised here.
+    The calling thread and workers - 1 helper threads pull batch indices
+    from a shared counter until none are left, workers = min(n_batches,
+    usable CPUs).  With one worker no thread starts and the batches run in
+    order on the caller.  The helpers are joined before return; the first
+    exception any worker raised is re-raised here.
     """
     workers = min(n_batches, _usable_cpus())
-    if workers <= 1:
-        for b in range(n_batches):
-            run_batch(b)
-        return
-
     pending = iter(range(n_batches))
     lock = threading.Lock()
     errors: list[BaseException] = []
