@@ -27,7 +27,6 @@ from .inversion import (
 )
 from .model import (
     DownOutStepSpec,
-    DualModelReport,
     GeneratorConfig,
     HejdModel,
     dual_model,
@@ -63,7 +62,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # model
-    "HejdModel", "DownOutStepSpec", "DualModelReport", "GeneratorConfig",
+    "HejdModel", "DownOutStepSpec", "GeneratorConfig",
     "laplace_exponent", "laplace_exponent_derivative", "levy_exponent",
     "dual_model", "generator_apply",
     # roots

@@ -36,24 +36,24 @@ def _write_output(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _emit(payload: dict, manifest, fmt: str, out: str | None, text_lines: list[str]) -> None:
-    """Route results to the requested format with the manifest policy above."""
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(manifest, fmt: str, out: str | None, doc: dict | None, body: str) -> None:
+    """Write ``doc`` as JSON with the manifest embedded, or the csv/text
+    ``body`` with the manifest policy above."""
     if fmt == "json":
-        doc = dict(payload)
-        doc["manifest"] = json.loads(manifest.to_json())
+        doc = {**doc, "manifest": json.loads(manifest.to_json())}
         _write_output(json.dumps(doc, indent=2, sort_keys=True), out)
         return
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(payload.keys())
-        writer.writerow(payload.values())
-        body = buf.getvalue()
-    else:
-        body = "\n".join(text_lines) + "\n"
     _write_output(body, out)
     if out:
-        Path(str(out) + ".manifest.json").write_text(manifest.to_json())
+        Path(out + ".manifest.json").write_text(manifest.to_json())
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
@@ -83,7 +83,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
         "price", __version__, args.gs_order, model, spec,
         t=args.t, x=args.x, quantity=args.quantity, format=args.format,
     )
-    _emit(payload, manifest, args.format, args.out, text)
+    body = _csv(payload, [payload.values()]) if args.format == "csv" else "\n".join(text) + "\n"
+    _emit(manifest, args.format, args.out, payload, body)
     return 0
 
 
@@ -93,14 +94,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     manifest = build_manifest(
         "table", __version__, args.gs_order, None, None, table_id=args.table_id
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result.header)
-    for row in result.rows:
-        writer.writerow(["" if isinstance(v, float) and math.isnan(v) else repr(v) if isinstance(v, float) else v for v in row])
-    _write_output(buf.getvalue(), args.out)
-    if args.out:
-        Path(str(args.out) + ".manifest.json").write_text(manifest.to_json())
+    rows = (["" if isinstance(v, float) and math.isnan(v) else repr(v) if isinstance(v, float) else v
+             for v in row] for row in result.rows)
+    _emit(manifest, "csv", args.out, None, _csv(result.header, rows))
     return 0
 
 
@@ -130,19 +126,13 @@ def _cmd_greeks(args: argparse.Namespace) -> int:
             (x1, v1 - v2, d1 - d2, g1 - g2)
             for (x1, v1, d1, g1), (_, v2, d2, g2) in zip(rows, rows2)
         ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("x", "value", "delta", "gamma"))
-    for row in rows:
-        writer.writerow([repr(v) for v in row])
     manifest = build_manifest(
         "greeks", __version__, args.gs_order, model, spec,
         t=args.t, x_lo=args.x_lo, x_hi=args.x_hi, n=args.n,
         quantity=args.quantity, bump=args.bump, diff_against=args.diff_against,
     )
-    _write_output(buf.getvalue(), args.out)
-    if args.out:
-        Path(str(args.out) + ".manifest.json").write_text(manifest.to_json())
+    body = _csv(("x", "value", "delta", "gamma"), ([repr(v) for v in row] for row in rows))
+    _emit(manifest, "csv", args.out, None, body)
     return 0
 
 
@@ -160,20 +150,14 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         lo = -eta[u] if u < model.n else -math.inf
         rows.append({"root": gamma, "kind": "gamma", "index": u + 1, "bracket_lo": lo, "bracket_hi": hi})
     manifest = build_manifest("roots", __version__, 0, model, _spec, alpha=args.alpha)
-    if args.format == "json":
-        doc = {"alpha": roots.alpha, "max_residual": roots.max_residual, "roots": rows,
-               "manifest": json.loads(manifest.to_json())}
-        _write_output(json.dumps(doc, indent=2, sort_keys=True), args.out)
-        return 0
+    doc = {"alpha": roots.alpha, "max_residual": roots.max_residual, "roots": rows}
     lines = [f"roots of Phi(theta) = {roots.alpha} (max residual {roots.max_residual:.3e})"]
     for row in rows:
         lines.append(
             f"  {row['kind']}[{row['index']}] = {row['root']:.12g}"
             f"   bracket ({row['bracket_lo']:.6g}, {row['bracket_hi']:.6g})"
         )
-    _write_output("\n".join(lines) + "\n", args.out)
-    if args.out:
-        Path(str(args.out) + ".manifest.json").write_text(manifest.to_json())
+    _emit(manifest, args.format, args.out, doc, "\n".join(lines) + "\n")
     return 0
 
 
@@ -206,7 +190,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"duality dual put   {duality.dual_put.value:.6f}",
         f"duality deviation  {duality.z_score:+.2f} pooled se",
     ]
-    _emit(payload, manifest, args.format, args.out, text)
+    body = _csv(payload, [payload.values()]) if args.format == "csv" else "\n".join(text) + "\n"
+    _emit(manifest, args.format, args.out, payload, body)
     return 0
 
 

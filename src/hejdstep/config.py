@@ -12,7 +12,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .model import DownOutStepSpec, HejdModel
 
-__all__ = ["parse_config", "parse_config_text", "dump_config"]
+__all__ = ["parse_config", "parse_config_text"]
 
 _SCALAR_KEYS = ("r", "delta", "sigma", "lambda", "K", "L", "rho_L", "gamma_L")
 _ARRAY_KEYS = ("p", "xi", "q", "eta")
@@ -81,25 +81,3 @@ def parse_config(path: str | Path) -> tuple[HejdModel, DownOutStepSpec]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))
 
-
-def dump_config(model: HejdModel, spec: DownOutStepSpec) -> str:
-    """Config text that parses back to the given model and contract."""
-    lines = [
-        f"r = {model.r!r}",
-        f"delta = {model.delta!r}",
-        f"sigma = {model.sigma!r}",
-        f"lambda = {model.lam!r}",
-    ]
-    if model.m:
-        lines.append("p = " + " ".join(repr(v) for v in model.up_weights))
-        lines.append("xi = " + " ".join(repr(v) for v in model.up_rates))
-    if model.n:
-        lines.append("q = " + " ".join(repr(v) for v in model.down_weights))
-        lines.append("eta = " + " ".join(repr(v) for v in model.down_rates))
-    lines += [
-        f"K = {spec.strike!r}",
-        f"L = {spec.barrier!r}",
-        f"rho_L = {spec.knock_rate!r}",
-        f"gamma_L = {spec.seasoning!r}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -4,8 +4,8 @@ The randomized European price is the Laplace-Carson transform in maturity of
 the calendar-time price, so inverting it on the real axis with the
 Gaver-Stehfest weights recovers the time-domain price.  American prices and
 early-exercise premiums are not exact transforms, but they carry the same
-structure and are inverted with the same weights; the known small bias of
-this heuristic is reported, never corrected.
+structure and are inverted with the same weights; the bias of this heuristic
+is not corrected and not yet reported.
 """
 
 from __future__ import annotations
@@ -113,9 +113,7 @@ def gs_invert(F: Callable[[float], float], t: float, cfg: GsConfig | None = None
         try:
             value = F(theta_k)
         except Exception as exc:
-            exc.args = tuple(exc.args) + (
-                f"while evaluating the transform at theta={theta_k:.9g} (k={k}, t={t})",
-            )
+            exc.args = (f"{exc}, while evaluating the transform at theta={theta_k:.9g} (k={k}, t={t})",)
             raise
         terms.append(zeta_k * value)
     return math.fsum(terms)
@@ -128,18 +126,8 @@ def _transform_function(
         return lambda th: eval_european_mr(solve_european_mr(model, spec, th), x)
     if quantity == "amer":
         return lambda th: eval_american_mr(solve_american_mr(model, spec, th), x)
-
-    def premium_part(th: float, index: int) -> float:
-        total, diff, jump = eval_eep_split_mr(solve_american_mr(model, spec, th), x)
-        return (total, diff, jump)[index]
-
-    if quantity == "eep":
-        return lambda th: premium_part(th, 0)
-    if quantity == "eep_diffusion":
-        return lambda th: premium_part(th, 1)
-    if quantity == "eep_jump":
-        return lambda th: premium_part(th, 2)
-    raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
+    part = ("eep", "eep_diffusion", "eep_jump").index(quantity)  # (total, diffusion, jump)
+    return lambda th: eval_eep_split_mr(solve_american_mr(model, spec, th), x)[part]
 
 
 def price_time_domain(

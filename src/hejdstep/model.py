@@ -25,7 +25,6 @@ from .errors import PoleError, QuadratureError
 __all__ = [
     "HejdModel",
     "DownOutStepSpec",
-    "DualModelReport",
     "GeneratorConfig",
     "laplace_exponent",
     "laplace_exponent_derivative",
@@ -149,14 +148,6 @@ class HejdModel:
         """Poles of the Laplace exponent: the up rates and negated down rates."""
         return self.up_rates + tuple(-e for e in self.down_rates)
 
-    def jump_density(self, y: float) -> float:
-        """Mixture density of a single jump (0 everywhere when lam == 0)."""
-        if self.m + self.n == 0:
-            return 0.0
-        if y >= 0.0:
-            return float(np.sum(self._p * self._xi * np.exp(-self._xi * y)))
-        return float(np.sum(self._q * self._eta * np.exp(self._eta * y)))
-
 
 @dataclass(frozen=True)
 class DownOutStepSpec:
@@ -186,21 +177,6 @@ class DownOutStepSpec:
             raise ValueError("knock_rate must be <= 0 (knock-out contract)")
         if self.seasoning < 0.0:
             raise ValueError("seasoning must be >= 0")
-
-
-@dataclass(frozen=True)
-class DualModelReport:
-    """Dual market obtained from the put-call duality measure change.
-
-    ``model`` carries the dual dynamics: r and delta exchange roles, the
-    diffusion volatility is unchanged, and the jump measure maps through
-    Pi_Y(dy) = e^{-y} Pi_X(-dy): down components (rate eta) become up
-    components with rate eta + 1, up components (rate xi) become down
-    components with rate xi - 1, and the total mass rescales by 1 + zeta.
-    """
-
-    model: HejdModel
-    intensity: float
 
 
 def _check_pole(model: HejdModel, theta: float) -> None:
@@ -261,29 +237,32 @@ def levy_exponent(model: HejdModel, theta: complex) -> complex:
     return value
 
 
-def dual_model(model: HejdModel) -> DualModelReport:
-    """Dual market of the put-call duality transform.
+def dual_model(model: HejdModel) -> HejdModel:
+    """Dual market of the put-call duality measure change.
 
-    The dual of the dual recovers the original model; the map is well defined
-    because up rates exceed 1, so the dual down rates xi - 1 stay positive.
+    r and delta exchange roles, the diffusion volatility is unchanged, and
+    the jump measure maps through Pi_Y(dy) = e^{-y} Pi_X(-dy): down
+    components (rate eta) become up components with rate eta + 1, up
+    components (rate xi) become down components with rate xi - 1, and the
+    intensity rescales by 1 + zeta.  The dual of the dual recovers the
+    original model; the map is well defined because up rates exceed 1, so
+    the dual down rates xi - 1 stay positive.
     """
     scale = 1.0 + model.zeta
     up_w = [q * e / ((e + 1.0) * scale) for q, e in zip(model.down_weights, model.down_rates)]
     up_r = [e + 1.0 for e in model.down_rates]
     down_w = [p * x / ((x - 1.0) * scale) for p, x in zip(model.up_weights, model.up_rates)]
     down_r = [x - 1.0 for x in model.up_rates]
-    intensity = model.lam * scale
-    dual = HejdModel(
+    return HejdModel(
         r=model.delta,
         delta=model.r,
         sigma=model.sigma,
-        lam=intensity,
+        lam=model.lam * scale,
         up_weights=up_w,
         up_rates=up_r,
         down_weights=down_w,
         down_rates=down_r,
     )
-    return DualModelReport(model=dual, intensity=intensity)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetError
-from .model import DownOutStepSpec, DualModelReport, HejdModel, dual_model
+from .model import DownOutStepSpec, HejdModel, dual_model
 
 __all__ = [
     "PathConfig",
@@ -331,10 +331,10 @@ def mc_euro_step_price(
     horizon: float,
     x: float,
     cfg: PathConfig,
-    stream: int = 0,
 ) -> McEstimate:
-    """Monte-Carlo value of the European step call (seasoning included)."""
-    s_t, occ = simulate_terminal(model, x, spec.barrier, horizon, cfg, stream=stream)
+    """Monte-Carlo value of the European step call (seasoning included),
+    simulated on stream 0."""
+    s_t, occ = simulate_terminal(model, x, spec.barrier, horizon, cfg)
     disc = math.exp(-model.r * horizon)
     payoff = disc * np.exp(spec.knock_rate * (spec.seasoning + occ)) * np.maximum(s_t - spec.strike, 0.0)
     return _estimate(payoff, cfg.antithetic, cfg.n_paths, cfg.dt)
@@ -355,10 +355,9 @@ def verify_duality(
     x*K/L (above-barrier time is horizon minus below-barrier time).  Both
     sides use independent streams derived from cfg.seed.
     """
-    call = mc_euro_step_price(model, spec, horizon, x, cfg, stream=0)
+    call = mc_euro_step_price(model, spec, horizon, x, cfg)
 
-    report: DualModelReport = dual_model(model)
-    dual = report.model
+    dual = dual_model(model)
     barrier_put = math.inf if spec.barrier == 0.0 else x * spec.strike / spec.barrier
     s_t, occ_below = simulate_terminal(dual, spec.strike, barrier_put, horizon, cfg, stream=1)
     occ_above = horizon - occ_below

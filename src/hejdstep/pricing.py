@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from .errors import (
@@ -170,8 +169,15 @@ def _check_residual(
     return float(np.max(np.abs(raw)))
 
 
-def _solve_dense(Q: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float, float]:
-    if not np.all(np.isfinite(Q)) or not np.all(np.isfinite(rhs)):
+def _solve_dense(
+    Q: np.ndarray, rhs: Sequence[np.ndarray], what: str
+) -> tuple[list[np.ndarray], float, float]:
+    """Solve Q w = b for each right-hand side b: one equilibration and one
+    condition estimate, then one LU solve and one backward-error check per
+    right-hand side (a stacked solve rounds differently).  Returns the
+    solutions, the largest raw residual and the condition estimate.
+    """
+    if not np.all(np.isfinite(Q)) or not all(np.all(np.isfinite(b)) for b in rhs):
         raise SingularSystemError(f"{what}: non-finite entries in the assembled system")
     Qs, row, col = _equilibrate(Q)
     try:
@@ -180,9 +186,13 @@ def _solve_dense(Q: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray,
         raise SingularSystemError(f"{what}: condition estimate failed ({exc})") from exc
     if not math.isfinite(cond) or cond > _COND_CAP:
         raise SingularSystemError(f"{what}: condition estimate {cond:.3e} exceeds {_COND_CAP:.0e}")
-    sol = np.linalg.solve(Qs, rhs / row) / col
-    resid = _check_residual(Q, sol, rhs, row, col, Qs, what)
-    return sol, resid, cond
+    sols, resids = [], []
+    for i, b in enumerate(rhs):
+        sol = np.linalg.solve(Qs, b / row) / col
+        label = what if len(rhs) == 1 else f"{what} (right-hand side {i})"
+        resids.append(_check_residual(Q, sol, b, row, col, Qs, label))
+        sols.append(sol)
+    return sols, max(resids), cond
 
 
 @lru_cache(maxsize=4096)
@@ -238,7 +248,7 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
         Q[row, cB] = bM
         Q[row, cC] = -gM
         rhs[row] = thK / (d + theta)
-        v, resid, cond = _solve_dense(Q, rhs, "european system (zero barrier)")
+        (v,), resid, cond = _solve_dense(Q, [rhs], "european system (zero barrier)")
         return MrEuropeanSolution(
             model=model, spec=spec, theta=theta,
             roots_low=roots_low, roots_mid=roots_mid,
@@ -316,7 +326,7 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     Q[row, cC] = -gM
     rhs[row] = thK / (d + theta)
 
-    v, resid, cond = _solve_dense(Q, rhs, "european system")
+    (v,), resid, cond = _solve_dense(Q, [rhs], "european system")
     return MrEuropeanSolution(
         model=model, spec=spec, theta=theta,
         roots_low=roots_low, roots_mid=roots_mid,
@@ -483,7 +493,7 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
 
     def gap(b_log: float) -> float:
         Q, q, _, _, cols = _assemble_american(euro, b_log)
-        w, _, _ = _solve_dense(Q, q, "american system")
+        (w,), _, _ = _solve_dense(Q, [q], "american system")
         g, _ = _smooth_fit_gap(euro, b_log, w, cols)
         return g
 
@@ -532,21 +542,9 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
         )
     b_log = float(brentq(gap, *brackets[0], xtol=1e-13, rtol=8.9e-16, maxiter=200))
 
+    # one matrix serves the total and both premium-split right-hand sides
     Q, q, q0, qJ, cols = _assemble_american(euro, b_log)
-    Qs, row, col = _equilibrate(Q)
-    cond = float(np.linalg.cond(Qs))
-    if not math.isfinite(cond) or cond > _COND_CAP:
-        raise SingularSystemError(f"american system: condition estimate {cond:.3e}")
-    # one factorization serves the total and both premium-split right-hand sides
-    lu = lu_factor(Qs)
-    w = lu_solve(lu, q / row) / col
-    w0 = lu_solve(lu, q0 / row) / col
-    wJ = lu_solve(lu, qJ / row) / col
-    resid = max(
-        _check_residual(Q, w, q, row, col, Qs, "american system"),
-        _check_residual(Q, w0, q0, row, col, Qs, "american premium split (diffusion)"),
-        _check_residual(Q, wJ, qJ, row, col, Qs, "american premium split (jump)"),
-    )
+    (w, w0, wJ), resid, cond = _solve_dense(Q, [q, q0, qJ], "american system")
     g, g_scale = _smooth_fit_gap(euro, b_log, w, cols)
     cD, cF, cFm = cols
     return MrAmericanSolution(

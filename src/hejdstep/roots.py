@@ -39,11 +39,11 @@ class RootSet:
     gammas: np.ndarray
     max_residual: float
 
-    def validate(self, model: HejdModel, residual_tol: float | None = None) -> None:
+    def validate(self, model: HejdModel) -> None:
         """Check count, strict interlacing with the poles, and residuals.
 
-        The default residual tolerance is 1e-10 * max(1, alpha), relaxed only
-        by the double-precision conditioning floor |Phi'(root)| * ulp(root)
+        The residual tolerance is 1e-10 * max(1, alpha), relaxed only by the
+        double-precision conditioning floor |Phi'(root)| * ulp(root)
         (binding for roots pinned against a pole by very large alpha).
         """
         m, n = model.m, model.n
@@ -61,7 +61,7 @@ class RootSet:
             lo = -eta[u] if u < n else -math.inf
             if not lo < gamma < hi:
                 raise BracketError(f"gamma[{u}]={gamma} escapes ({lo}, {hi})")
-        tol = residual_tol if residual_tol is not None else 1e-10 * max(1.0, self.alpha)
+        tol = 1e-10 * max(1.0, self.alpha)
         for root in list(self.betas) + list(self.gammas):
             resid = abs(_phi_raw(model, root) - self.alpha)
             floor = 4.0 * abs(_phi_prime_raw(model, root)) * math.ulp(abs(root))
@@ -171,35 +171,25 @@ def _interior_root(model: HejdModel, alpha: float, lo: float, hi: float) -> floa
     return _bisect_newton(model, alpha, a, b)
 
 
-def _outer_root(model: HejdModel, alpha: float, pole: float, positive: bool) -> float:
-    """Outermost root beyond the last pole, bracketed by geometric doubling
-    (the sigma^2 theta^2 / 2 term dominates far out)."""
-    f = lambda t: _phi_raw(model, t) - alpha
+def _outer_root(model: HejdModel, alpha: float, pole: float, sign: float) -> float:
+    """Outermost root beyond the last pole on the side of ``sign`` (+1 or -1),
+    bracketed by geometric doubling (the sigma^2 theta^2 / 2 term dominates
+    far out)."""
     sigma2 = model.sigma**2
     # diffusion-only estimate of the far root, used to seed the doubling
     disc = model.drift**2 + 2.0 * sigma2 * alpha
     seed = (-model.drift + math.sqrt(disc)) / sigma2
-    if positive:
-        lo = 0.0 if pole == 0.0 else _pole_side_point(
-            model, alpha, pole, +1.0, want_positive=False,
-            init_offset=_POLE_OFFSET_FRAC * max(1.0, pole),
-        )
-        hi = max(2.0 * abs(lo), seed, 1.0)
-        while f(hi) < 0.0:
-            hi *= 2.0
-            if hi > _DOUBLING_CAP:
-                raise BracketError("outer bracket doubling cap reached (positive side)")
-        return _bisect_newton(model, alpha, lo, hi)
-    hi = 0.0 if pole == 0.0 else _pole_side_point(
-        model, alpha, pole, -1.0, want_positive=False,
+    near = 0.0 if pole == 0.0 else _pole_side_point(
+        model, alpha, pole, sign, want_positive=False,
         init_offset=_POLE_OFFSET_FRAC * max(1.0, abs(pole)),
     )
-    lo = min(2.0 * hi if hi < 0.0 else -1.0, -max(seed, 1.0))
-    while f(lo) < 0.0:
-        lo *= 2.0
-        if -lo > _DOUBLING_CAP:
-            raise BracketError("outer bracket doubling cap reached (negative side)")
-    return _bisect_newton(model, alpha, lo, hi)
+    far = sign * max(2.0 * abs(near), seed, 1.0)
+    while _phi_raw(model, far) - alpha < 0.0:
+        far *= 2.0
+        if abs(far) > _DOUBLING_CAP:
+            side = "positive" if sign > 0.0 else "negative"
+            raise BracketError(f"outer bracket doubling cap reached ({side} side)")
+    return _bisect_newton(model, alpha, min(near, far), max(near, far))
 
 
 def find_roots(model: HejdModel, alpha: float) -> RootSet:
@@ -212,13 +202,13 @@ def find_roots(model: HejdModel, alpha: float) -> RootSet:
     edges = (0.0,) + model.up_rates
     for i in range(model.m):
         betas.append(_interior_root(model, alpha, edges[i], edges[i + 1]))
-    betas.append(_outer_root(model, alpha, edges[-1], positive=True))
+    betas.append(_outer_root(model, alpha, edges[-1], +1.0))
 
     gammas: list[float] = []
     edges = (0.0,) + tuple(-e for e in model.down_rates)
     for j in range(model.n):
         gammas.append(_interior_root(model, alpha, edges[j + 1], edges[j]))
-    gammas.append(_outer_root(model, alpha, edges[-1], positive=False))
+    gammas.append(_outer_root(model, alpha, edges[-1], -1.0))
 
     resid = max(
         abs(_phi_raw(model, t) - alpha) for t in betas + gammas

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .inversion import GsConfig, price_summary, price_time_domain
+from .inversion import GsConfig, price_summary
 from .model import DownOutStepSpec, HejdModel
 
 __all__ = [
@@ -89,13 +89,6 @@ class TableResult:
     rows: tuple[tuple, ...]
 
 
-def _contract_columns(model: HejdModel, x: float, rho: float, cfg: GsConfig | None):
-    spec = table_spec(rho)
-    t = BASE_PARAMS["horizon"]
-    s = price_summary(model, spec, t, x, cfg)
-    return s["euro"], s["eep"], s["eep_pct"], s["dc_pct"]
-
-
 def build_table(table_id: int, cfg: GsConfig | None = None) -> TableResult:
     """Compute the full grid of the requested table.
 
@@ -134,10 +127,10 @@ def build_table(table_id: int, cfg: GsConfig | None = None) -> TableResult:
         for x in _SPOTS:
             row = [float(block), lam, x]
             for rho in rhos:
-                euro, eep, eep_pct, dc_pct = _contract_columns(model, x, rho, cfg)
-                if euro < 5e-4 and eep < 5e-4:  # knocked-out rows print 0 / --
-                    row += [euro, eep, math.nan, math.nan]
+                s = price_summary(model, table_spec(rho), t, x, cfg)
+                if s["euro"] < 5e-4 and s["eep"] < 5e-4:  # knocked-out rows print 0 / --
+                    row += [s["euro"], s["eep"], math.nan, math.nan]
                 else:
-                    row += [euro, eep, eep_pct, dc_pct]
+                    row += [s["euro"], s["eep"], s["eep_pct"], s["dc_pct"]]
             rows.append(tuple(row))
     return TableResult(table_id, header, tuple(rows))

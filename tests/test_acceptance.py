@@ -162,7 +162,7 @@ def test_criterion_6_root_properties():
             count += 1
             try:
                 roots = find_roots(model, alpha)
-                roots.validate(model, residual_tol=1e-10 * max(1.0, alpha))
+                roots.validate(model)
                 tol = 1e-10 * max(1.0, alpha)
                 for t in list(roots.betas) + list(roots.gammas):
                     if abs(laplace_exponent(model, t) - alpha) > tol:

@@ -137,6 +137,51 @@ class TestErrors:
         assert doc["error"]["exit_code"] == 3
         assert doc["error"]["type"] == "NoBoundaryError"
 
+    def test_engine_error_reads_as_one_sentence(self, capsys, tmp_path):
+        # low volatility: the European system fails its condition check at the
+        # first abscissa, and the message names that abscissa
+        cfg = tmp_path / "lowvol.cfg"
+        cfg.write_text(KOU_CONFIG.replace("sigma = 0.2", "sigma = 0.01").replace("L = 95", "L = 80"))
+        argv = ["price", str(cfg), "--t", "1", "--x", "100"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "('" not in err and "theta=" in err
+        assert main(argv + ["--format", "json"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "SingularSystemError"
+        assert "('" not in error["message"] and "theta=" in error["message"]
+
+
+class TestOutputFiles:
+    """csv/text written to --out get a sibling <out>.manifest.json; JSON
+    embeds the manifest and gets none."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["table", "1"], id="table"),
+        pytest.param(["greeks", "CFG", "--t", "1", "--x-lo", "98", "--x-hi", "102", "--n", "3"], id="greeks"),
+        pytest.param(["roots", "CFG", "--alpha", "5.05"], id="roots-text"),
+        pytest.param(["verify", "CFG", "--t", "0.05", "--x", "100", "--paths", "10000"], id="verify-text"),
+        pytest.param(["verify", "CFG", "--t", "0.05", "--x", "100", "--paths", "10000", "--format", "csv"],
+                     id="verify-csv"),
+    ])
+    def test_sibling_manifest(self, capsys, config_path, tmp_path, argv):
+        out_file = tmp_path / "result"
+        argv = [config_path if a == "CFG" else a for a in argv] + ["--out", str(out_file)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        body = out_file.read_text()
+        assert body.strip() and "created_utc" not in body
+        manifest = json.loads((tmp_path / "result.manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+
+    def test_json_embeds_manifest_without_sibling(self, capsys, config_path, tmp_path):
+        out_file = tmp_path / "roots.json"
+        assert main(["roots", config_path, "--alpha", "5.05", "--format", "json", "--out", str(out_file)]) == 0
+        doc = json.loads(out_file.read_text())
+        assert doc["manifest"]["command"] == "roots"
+        assert len(doc["roots"]) == 4
+        assert not (tmp_path / "roots.json.manifest.json").exists()
+
 
 class TestRoots:
     def test_text_lists_all_roots(self, capsys, config_path):

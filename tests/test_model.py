@@ -139,7 +139,7 @@ class TestLevyExponent:
 
 class TestDualModel:
     def test_kou_rates(self, kou_model):
-        dual = dual_model(kou_model).model
+        dual = dual_model(kou_model)
         assert dual.up_rates == (51.0,)
         assert dual.down_rates == (24.0,)
         assert dual.r == kou_model.delta and dual.delta == kou_model.r
@@ -148,7 +148,7 @@ class TestDualModel:
         rng = np.random.default_rng(77)
         models = [kou_model] + [random_model(rng) for _ in range(10)]
         for m in models:
-            back = dual_model(dual_model(m).model).model
+            back = dual_model(dual_model(m))
             assert back.r == pytest.approx(m.r, abs=1e-10)
             assert back.delta == pytest.approx(m.delta, abs=1e-10)
             assert back.lam == pytest.approx(m.lam, rel=1e-10)
@@ -165,18 +165,18 @@ class TestDualModel:
                       up_weights=(p,), up_rates=(xi,),
                       down_weights=(1.0 - p,), down_rates=(eta,))
         assert m.zeta == pytest.approx(0.0, abs=1e-14)
-        dual = dual_model(m).model
+        dual = dual_model(m)
         assert dual.up_rates == (xi,) and dual.down_rates == (eta,)
         assert dual.up_weights[0] == pytest.approx(p, abs=1e-14)
         assert dual.lam == pytest.approx(m.lam, rel=1e-14)
 
     def test_dual_intensity_scaling(self, kou_model):
-        report = dual_model(kou_model)
-        assert report.intensity == pytest.approx(kou_model.lam * (1.0 + kou_model.zeta), rel=1e-14)
+        want = kou_model.lam * (1.0 + kou_model.zeta)
+        assert dual_model(kou_model).lam == pytest.approx(want, rel=1e-14)
 
     def test_dual_laplace_exponent_shift(self, kou_model):
         # Phi_dual(theta) = Phi(1 - theta) - Phi(1)
-        dual = dual_model(kou_model).model
+        dual = dual_model(kou_model)
         shift = kou_model.r - kou_model.delta
         for t in (-2.0, 0.3, 0.9, 4.0):
             lhs = laplace_exponent(dual, t)
@@ -184,7 +184,7 @@ class TestDualModel:
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
     def test_lambda_zero_dual(self, bs_model):
-        dual = dual_model(bs_model).model
+        dual = dual_model(bs_model)
         assert dual.lam == 0.0 and dual.m == dual.n == 0
         assert dual.r == bs_model.delta
 

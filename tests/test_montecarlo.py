@@ -178,7 +178,7 @@ class TestDuality:
         m = HejdModel(r=0.05, delta=0.05, sigma=0.25, lam=2.0,
                       up_weights=(p,), up_rates=(xi,),
                       down_weights=(1.0 - p,), down_rates=(eta,))
-        d = dual_model(m).model
+        d = dual_model(m)
         cfg = PathConfig(n_paths=10_000, dt=1e-3, seed=43)
         s1, _ = simulate_terminal(m, 100.0, 95.0, 0.1, cfg)
         s2, _ = simulate_terminal(d, 100.0, 95.0, 0.1, cfg)

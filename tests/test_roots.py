@@ -103,7 +103,7 @@ class TestRandomizedProperties:
         rng = np.random.default_rng(11)
         for _ in range(10):
             m = random_model(rng)
-            dual = dual_model(m).model
+            dual = dual_model(m)
             alpha = 2.0 + m.r
             roots = find_roots(m, alpha)
             target = alpha - (m.r - m.delta)
