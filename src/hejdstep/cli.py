@@ -28,12 +28,12 @@ _PRICE_QUANTITIES = QUANTITIES + ("all",)
 
 
 def _write_output(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _csv(header, rows) -> str:
@@ -53,7 +53,7 @@ def _emit(manifest, fmt: str, out: str | None, doc: dict | None, body: str) -> N
         return
     _write_output(body, out)
     if out:
-        Path(out + ".manifest.json").write_text(manifest.to_json())
+        _write_output(manifest.to_json(), out + ".manifest.json")
 
 
 def _cmd_price(args: argparse.Namespace) -> int:

@@ -62,11 +62,10 @@ class HejdModel:
     up_rates: tuple[float, ...] = ()
     down_weights: tuple[float, ...] = ()
     down_rates: tuple[float, ...] = ()
-    # numpy views of the mixture, precomputed once (hot path in root finding)
-    _p: np.ndarray = field(init=False, repr=False, compare=False)
-    _xi: np.ndarray = field(init=False, repr=False, compare=False)
-    _q: np.ndarray = field(init=False, repr=False, compare=False)
-    _eta: np.ndarray = field(init=False, repr=False, compare=False)
+    # (p_i * xi_i, xi_i) and (q_j * eta_j, eta_j) pairs, precomputed once for
+    # the plain-float Laplace-exponent kernel (hot path in root finding)
+    _up: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    _down: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _zeta: float = field(init=False, repr=False, compare=False)
     _drift: float = field(init=False, repr=False, compare=False)
 
@@ -111,17 +110,13 @@ class HejdModel:
             if self.down_rates and self.down_rates[0] <= 0.0:
                 raise ValueError("down_rates must be positive")
 
-        object.__setattr__(self, "_p", np.asarray(self.up_weights, dtype=float))
-        object.__setattr__(self, "_xi", np.asarray(self.up_rates, dtype=float))
-        object.__setattr__(self, "_q", np.asarray(self.down_weights, dtype=float))
-        object.__setattr__(self, "_eta", np.asarray(self.down_rates, dtype=float))
+        object.__setattr__(self, "_up", tuple((p * x, x) for p, x in zip(self.up_weights, self.up_rates)))
+        object.__setattr__(self, "_down", tuple((q * e, e) for q, e in zip(self.down_weights, self.down_rates)))
         zeta = 0.0
         if self.m + self.n:
-            zeta = float(
-                np.sum(self._p * self._xi / (self._xi - 1.0))
-                + np.sum(self._q * self._eta / (self._eta + 1.0))
-                - 1.0
-            )
+            p, xi = np.asarray(self.up_weights), np.asarray(self.up_rates)
+            q, eta = np.asarray(self.down_weights), np.asarray(self.down_rates)
+            zeta = float(np.sum(p * xi / (xi - 1.0)) + np.sum(q * eta / (eta + 1.0)) - 1.0)
         object.__setattr__(self, "_zeta", zeta)
         object.__setattr__(self, "_drift", self.r - self.delta - self.lam * zeta - 0.5 * self.sigma**2)
 
@@ -187,24 +182,34 @@ def _check_pole(model: HejdModel, theta: float) -> None:
 
 def _phi_raw(model: HejdModel, theta: float) -> float:
     """Phi without the pole guard; the root solver works legitimately inside
-    the public exclusion zone (the subtraction rate - theta stays exact)."""
+    the public exclusion zone (the subtraction rate - theta stays exact).
+
+    Plain float arithmetic: each mixture sum runs left to right from 0.0,
+    which is how numpy sums arrays of fewer than eight terms, so the values
+    match the array expressions p*xi/(xi - theta) bit for bit at that size.
+    """
     value = model.drift * theta + 0.5 * model.sigma**2 * theta * theta
     if model.lam > 0.0:
-        value += model.lam * (
-            float(np.sum(model._p * model._xi / (model._xi - theta)))
-            + float(np.sum(model._q * model._eta / (model._eta + theta)))
-            - 1.0
-        )
+        up = 0.0
+        for pxi, xi in model._up:
+            up += pxi / (xi - theta)
+        down = 0.0
+        for qeta, eta in model._down:
+            down += qeta / (eta + theta)
+        value += model.lam * (up + down - 1.0)
     return value
 
 
 def _phi_prime_raw(model: HejdModel, theta: float) -> float:
     value = model.drift + model.sigma**2 * theta
     if model.lam > 0.0:
-        value += model.lam * (
-            float(np.sum(model._p * model._xi / (model._xi - theta) ** 2))
-            - float(np.sum(model._q * model._eta / (model._eta + theta) ** 2))
-        )
+        up = 0.0
+        for pxi, xi in model._up:
+            up += pxi / ((xi - theta) * (xi - theta))
+        down = 0.0
+        for qeta, eta in model._down:
+            down += qeta / ((eta + theta) * (eta + theta))
+        value += model.lam * (up - down)
     return value
 
 
@@ -229,9 +234,11 @@ def levy_exponent(model: HejdModel, theta: complex) -> complex:
     theta = complex(theta)
     value = -1j * model.drift * theta + 0.5 * model.sigma**2 * theta * theta
     if model.lam > 0.0:
+        p, xi = np.asarray(model.up_weights), np.asarray(model.up_rates)
+        q, eta = np.asarray(model.down_weights), np.asarray(model.down_rates)
         value -= model.lam * (
-            complex(np.sum(model._p * model._xi / (model._xi - 1j * theta)))
-            + complex(np.sum(model._q * model._eta / (model._eta + 1j * theta)))
+            complex(np.sum(p * xi / (xi - 1j * theta)))
+            + complex(np.sum(q * eta / (eta + 1j * theta)))
             - 1.0
         )
     return value

@@ -132,14 +132,15 @@ def _effective_log_barrier(spec: DownOutStepSpec) -> tuple[float, float | None]:
 
 
 def _equilibrate(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row/column scalings; vanishing-intensity and knock-out limits scale
-    single columns by huge factors that say nothing about solvability."""
-    row = np.max(np.abs(Q), axis=1)
+    """Row/column scalings of each system in the stack Q (S, n, n);
+    vanishing-intensity and knock-out limits scale single columns by huge
+    factors that say nothing about solvability."""
+    row = np.abs(Q).max(axis=2)
     row[row == 0.0] = 1.0
-    scaled = Q / row[:, None]
-    col = np.max(np.abs(scaled), axis=0)
+    scaled = Q / row[:, :, None]
+    col = np.abs(scaled).max(axis=1)
     col[col == 0.0] = 1.0
-    return scaled / col[None, :], row, col
+    return scaled / col[:, None, :], row, col
 
 
 def _check_residual(
@@ -149,50 +150,92 @@ def _check_residual(
     row: np.ndarray,
     col: np.ndarray,
     Qs: np.ndarray,
-    what: str,
-) -> float:
-    # normwise backward error of the equilibrated system, the quantity LU
-    # with partial pivoting actually guarantees; the raw infinity-norm bound
-    # follows from it at sanely scaled parameters
-    raw = Q @ sol - rhs
-    scaled = float(np.max(np.abs(raw / row)))
+) -> tuple[np.ndarray, np.ndarray]:
+    """(normwise backward error, largest raw residual) of each system.
+
+    The backward error is that of the equilibrated system, the quantity LU
+    with partial pivoting actually guarantees; the raw infinity-norm bound
+    follows from it at sanely scaled parameters.
+    """
+    raw = (Q @ sol[:, :, None])[:, :, 0] - rhs
+    scaled = np.abs(raw / row).max(axis=1)
     denom = (
-        float(np.max(np.sum(np.abs(Qs), axis=1))) * float(np.max(np.abs(sol * col)))
-        + float(np.max(np.abs(rhs / row)))
+        np.abs(Qs).sum(axis=2).max(axis=1) * np.abs(sol * col).max(axis=1)
+        + np.abs(rhs / row).max(axis=1)
         + 1e-300
     )
-    backward = scaled / denom
-    if backward > _RESIDUAL_REL:
-        raise SingularSystemError(
-            f"{what}: backward error {backward:.3e} above {_RESIDUAL_REL:.0e}"
-        )
-    return float(np.max(np.abs(raw)))
+    return scaled / denom, np.abs(raw).max(axis=1)
 
 
 def _solve_dense(
     Q: np.ndarray, rhs: Sequence[np.ndarray], what: str
-) -> tuple[list[np.ndarray], float, float]:
-    """Solve Q w = b for each right-hand side b: one equilibration and one
-    condition estimate, then one LU solve and one backward-error check per
-    right-hand side (a stacked solve rounds differently).  Returns the
-    solutions, the largest raw residual and the condition estimate.
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, SingularSystemError | None]:
+    """Solve each system of the stack Q (S, n, n) for each right-hand side,
+    an (S, n) array.  Each system gets one equilibration and one condition
+    estimate, then one LU solve and one backward-error check per right-hand
+    side; the stacked LAPACK calls round exactly as one call per system.
+
+    The systems are taken in order, and the first one that fails a check
+    (non-finite entries, condition estimate above 1e14, backward error above
+    1e-9) ends the run.  Returns the solutions of the systems before it (one
+    (S', n) array per right-hand side), their largest raw residuals, their
+    condition estimates, and the SingularSystemError of the failing system
+    (None when all S pass).
     """
-    if not np.all(np.isfinite(Q)) or not all(np.all(np.isfinite(b)) for b in rhs):
-        raise SingularSystemError(f"{what}: non-finite entries in the assembled system")
-    Qs, row, col = _equilibrate(Q)
+    n_ok, failure = len(Q), None
+
+    def stop_at_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
+        nonlocal n_ok, failure
+        if bad.any():
+            n_ok = int(np.argmax(bad))
+            failure = SingularSystemError(message(n_ok))
+
+    finite = np.isfinite(Q).all(axis=(1, 2))
+    for b in rhs:
+        finite &= np.isfinite(b).all(axis=1)
+    stop_at_first(~finite, lambda s: f"{what}: non-finite entries in the assembled system")
+    Qs, row, col = _equilibrate(Q[:n_ok])
     try:
-        cond = float(np.linalg.cond(Qs))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what}: condition estimate failed ({exc})") from exc
-    if not math.isfinite(cond) or cond > _COND_CAP:
-        raise SingularSystemError(f"{what}: condition estimate {cond:.3e} exceeds {_COND_CAP:.0e}")
-    sols, resids = [], []
+        cond = np.linalg.cond(Qs)
+    except np.linalg.LinAlgError:
+        # an SVD did not converge: estimate one system at a time up to it
+        cond = []
+        for A in Qs:
+            try:
+                cond.append(np.linalg.cond(A))
+            except np.linalg.LinAlgError as exc:
+                n_ok = len(cond)
+                failure = SingularSystemError(f"{what}: condition estimate failed ({exc})")
+                break
+        cond = np.asarray(cond)
+    stop_at_first(
+        ~np.isfinite(cond) | (cond > _COND_CAP),
+        lambda s: f"{what}: condition estimate {cond[s]:.3e} exceeds {_COND_CAP:.0e}",
+    )
+    sols, resid = [], np.zeros(n_ok)
     for i, b in enumerate(rhs):
-        sol = np.linalg.solve(Qs, b / row) / col
+        Qs, row, col, b = Qs[:n_ok], row[:n_ok], col[:n_ok], b[:n_ok]
+        sol = np.linalg.solve(Qs, (b / row)[:, :, None])[:, :, 0] / col
+        backward, raw = _check_residual(Q[:n_ok], sol, b, row, col, Qs)
+        resid = np.maximum(resid[:n_ok], raw)
         label = what if len(rhs) == 1 else f"{what} (right-hand side {i})"
-        resids.append(_check_residual(Q, sol, b, row, col, Qs, label))
+        stop_at_first(
+            backward > _RESIDUAL_REL,
+            lambda s: f"{label}: backward error {backward[s]:.3e} above {_RESIDUAL_REL:.0e}",
+        )
         sols.append(sol)
-    return sols, max(resids), cond
+    return [w[:n_ok] for w in sols], resid[:n_ok], cond[:n_ok], failure
+
+
+def _solve_all(
+    Q: np.ndarray, rhs: Sequence[np.ndarray], what: str
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """_solve_dense when every system of the stack must solve: raises the
+    SingularSystemError of the first one that fails."""
+    sols, resid, cond, failure = _solve_dense(Q, rhs, what)
+    if failure is not None:
+        raise failure
+    return sols, resid, cond
 
 
 @lru_cache(maxsize=4096)
@@ -248,14 +291,14 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
         Q[row, cB] = bM
         Q[row, cC] = -gM
         rhs[row] = thK / (d + theta)
-        (v,), resid, cond = _solve_dense(Q, [rhs], "european system (zero barrier)")
+        (v,), resid, cond = _solve_all(Q[None], [rhs[None]], "european system (zero barrier)")
         return MrEuropeanSolution(
             model=model, spec=spec, theta=theta,
             roots_low=roots_low, roots_mid=roots_mid,
-            a_plus=np.zeros(0), b_plus=v[cB], b_minus=np.zeros(0), c_minus=v[cC],
+            a_plus=np.zeros(0), b_plus=v[0, cB], b_minus=np.zeros(0), c_minus=v[0, cC],
             barrier_eff=0.0, log_barrier=None, log_strike=k,
             slope_inf=slope_inf, offset_inf=offset_inf,
-            residual_inf=resid, cond_estimate=cond,
+            residual_inf=float(resid[0]), cond_estimate=float(cond[0]),
         )
 
     # r + theta - 0.0 == r + theta exactly, so a standard contract's low
@@ -326,14 +369,14 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     Q[row, cC] = -gM
     rhs[row] = thK / (d + theta)
 
-    (v,), resid, cond = _solve_dense(Q, [rhs], "european system")
+    (v,), resid, cond = _solve_all(Q[None], [rhs[None]], "european system")
     return MrEuropeanSolution(
         model=model, spec=spec, theta=theta,
         roots_low=roots_low, roots_mid=roots_mid,
-        a_plus=v[cA], b_plus=v[cB], b_minus=v[cBm], c_minus=v[cC],
+        a_plus=v[0, cA], b_plus=v[0, cB], b_minus=v[0, cBm], c_minus=v[0, cC],
         barrier_eff=barrier_eff, log_barrier=ell, log_strike=k,
         slope_inf=slope_inf, offset_inf=offset_inf,
-        residual_inf=resid, cond_estimate=cond,
+        residual_inf=float(resid[0]), cond_estimate=float(cond[0]),
     )
 
 
@@ -358,11 +401,12 @@ def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
 
 
 def _assemble_american(
-    sol: MrEuropeanSolution, b_log: float
+    sol: MrEuropeanSolution, b_log: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[slice]]:
-    """American premium system at log-boundary b_log.
+    """American premium systems at a stack of S candidate log-boundaries.
 
-    Returns (Q, q_total, q_diffusion, q_jump, column slices); the diffusion
+    Returns (Q, q_total, q_diffusion, q_jump, column slices): Q has shape
+    (S, size, size) and each right-hand side (S, size).  The diffusion
     right-hand side carries only the value-matching row at the boundary, the
     jump one carries the jump-integral rows, and they sum to q_total.
 
@@ -370,108 +414,108 @@ def _assemble_american(
     at the boundary, the gamma terms at the barrier (the unknowns are the
     per-term values there).  Every matrix entry then carries a decaying
     exponential and the system stays bounded however far out the candidate
-    boundary sits.
+    boundary sits.  Exponentials of a scalar (a candidate, or a candidate
+    times an up rate) go through math.exp, one call each: numpy's vectorized
+    exp differs from it in the last bit for a few percent of arguments.
     """
-    model, spec, theta = sol.model, sol.spec, sol.theta
+    model, theta = sol.model, sol.theta
     r, d = model.r, model.delta
-    K = spec.strike
-    k = sol.log_strike
-    gM = sol.roots_mid.gammas
-    bM = sol.roots_mid.betas
-    C = sol.c_minus
+    rK = r * sol.spec.strike
+    bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
     xi = np.asarray(model.up_rates)
-    eta = np.asarray(model.down_rates)
+    xi_bM = xi[:, None] - bM
+    xi_gM = xi[:, None] - gM
+    up_r = xi * (r + theta)
+    up_d = (xi - 1.0) * (d + theta)
     mm, n = model.m, model.n
-    eb = math.exp(b_log)
-    cg = float(np.sum(C * np.exp(gM * (b_log - k))))  # gamma tail of the Euro at b
+    S = len(b_log)
+    d_eb = d * np.array([math.exp(b) for b in b_log])
+    e_euro = np.exp(gM * (b_log - sol.log_strike)[:, None])  # gamma terms of the Euro at b
+    C_euro = sol.c_minus * e_euro
+    value_gap = d_eb / (d + theta) - rK / (r + theta) - C_euro.sum(axis=1)
+    # jump rows of the corridor: the exercise gap an up jump lands in
+    up_gap = (C_euro[:, None, :] / xi_gM).sum(axis=2) + rK / up_r - d_eb[:, None] / up_d
 
     if sol.log_barrier is None:
         # zero barrier: premium is a pure beta combination below the boundary
         size = mm + 1
-        Q = np.zeros((size, size))
-        qJ = np.zeros(size)
-        q0 = np.zeros(size)
-        for i in range(mm):
-            x_i = xi[i]
-            Q[i, :] = -1.0 / (x_i - bM)
-            qJ[i] = (
-                float(np.sum(C * np.exp(gM * (b_log - k)) / (x_i - gM)))
-                + r * K / (x_i * (r + theta))
-                - d * eb / ((x_i - 1.0) * (d + theta))
-            )
-        Q[mm, :] = 1.0
-        q0[mm] = d * eb / (d + theta) - r * K / (r + theta) - cg
+        Q = np.zeros((S, size, size))
+        qJ = np.zeros((S, size))
+        q0 = np.zeros((S, size))
+        Q[:, :mm, :] = -1.0 / xi_bM
+        qJ[:, :mm] = up_gap
+        Q[:, mm, :] = 1.0
+        q0[:, mm] = value_gap
         return Q, q0 + qJ, q0, qJ, [slice(0, 0), slice(0, size), slice(size, size)]
 
-    ell = sol.log_barrier
     bL = sol.roots_low.betas
-    bl = b_log - ell
+    eta = np.asarray(model.down_rates)[:, None]
+    bl = b_log - sol.log_barrier
+    # (b/L)^{-xi_i}: an up jump from the barrier clears the boundary
+    e_up = np.array([[math.exp(-x * v) for x in model.up_rates] for v in bl])
+    bl = bl[:, None]
+    e_beta = np.exp(-bM * bl)  # beta terms at the barrier
+    e_gamma = np.exp(gM * bl)  # gamma terms at the boundary
     size = 2 * mm + n + 3
-    Q = np.zeros((size, size))
-    q0 = np.zeros(size)
-    qJ = np.zeros(size)
+    Q = np.zeros((S, size, size))
+    q0 = np.zeros((S, size))
+    qJ = np.zeros((S, size))
     cD = slice(0, mm + 1)
     cF = slice(mm + 1, 2 * mm + 2)
     cFm = slice(2 * mm + 2, size)
-    row = 0
-    for i in range(mm):
-        x_i = xi[i]
-        Q[row, cD] = -1.0 / (x_i - bL)
-        Q[row, cF] = (np.exp(-bM * bl) - math.exp(-x_i * bl)) / (x_i - bM)
-        Q[row, cFm] = (1.0 - np.exp((gM - x_i) * bl)) / (x_i - gM)
-        qJ[row] = (
-            float(np.sum(C * math.exp(-x_i * bl) * np.exp(gM * (b_log - k)) / (x_i - gM)))
-            + r * K * math.exp(-x_i * bl) / (x_i * (r + theta))
-            - d * eb * math.exp(-x_i * bl) / ((x_i - 1.0) * (d + theta))
-        )
-        row += 1
-    for i in range(mm):
-        x_i = xi[i]
-        Q[row, cF] = -1.0 / (x_i - bM)
-        Q[row, cFm] = -np.exp(gM * bl) / (x_i - gM)
-        qJ[row] = (
-            float(np.sum(C * np.exp(gM * (b_log - k)) / (x_i - gM)))
-            + r * K / (x_i * (r + theta))
-            - d * eb / ((x_i - 1.0) * (d + theta))
-        )
-        row += 1
-    for j in range(n):
-        e_j = eta[j]
-        Q[row, cD] = 1.0 / (e_j + bL)
-        Q[row, cF] = -np.exp(-bM * bl) / (e_j + bM)
-        Q[row, cFm] = -1.0 / (e_j + gM)
-        row += 1
-    Q[row, cD] = 1.0
-    Q[row, cF] = -np.exp(-bM * bl)
-    Q[row, cFm] = -1.0
-    row += 1
-    Q[row, cF] = 1.0
-    Q[row, cFm] = np.exp(gM * bl)
-    q0[row] = d * eb / (d + theta) - r * K / (r + theta) - cg
-    row += 1
-    Q[row, cD] = bL
-    Q[row, cF] = -bM * np.exp(-bM * bl)
-    Q[row, cFm] = -gM
+    # up-jump residuals seen from below the barrier
+    rows = slice(0, mm)
+    Q[:, rows, cD] = -1.0 / (xi[:, None] - bL)
+    Q[:, rows, cF] = (e_beta[:, None, :] - e_up[:, :, None]) / xi_bM
+    Q[:, rows, cFm] = (1.0 - np.exp((gM - xi[:, None]) * bl[:, :, None])) / xi_gM
+    qJ[:, rows] = (
+        (sol.c_minus * e_up[:, :, None] * e_euro[:, None, :] / xi_gM).sum(axis=2)
+        + rK * e_up / up_r
+        - d_eb[:, None] * e_up / up_d
+    )
+    # up-jump residuals seen from the corridor
+    rows = slice(mm, 2 * mm)
+    Q[:, rows, cF] = -1.0 / xi_bM
+    Q[:, rows, cFm] = -e_gamma[:, None, :] / xi_gM
+    qJ[:, rows] = up_gap
+    # down-jump residuals seen from the corridor
+    rows = slice(2 * mm, 2 * mm + n)
+    Q[:, rows, cD] = 1.0 / (eta + bL)
+    Q[:, rows, cF] = -e_beta[:, None, :] / (eta + bM)
+    Q[:, rows, cFm] = -1.0 / (eta + gM)
+    # value continuity at the barrier, value match at the boundary
+    row = 2 * mm + n
+    Q[:, row, cD] = 1.0
+    Q[:, row, cF] = -e_beta
+    Q[:, row, cFm] = -1.0
+    Q[:, row + 1, cF] = 1.0
+    Q[:, row + 1, cFm] = e_gamma
+    q0[:, row + 1] = value_gap
+    # slope continuity at the barrier
+    Q[:, row + 2, cD] = bL
+    Q[:, row + 2, cF] = -bM * e_beta
+    Q[:, row + 2, cFm] = -gM
     return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
 
 
-def _smooth_fit_gap(sol: MrEuropeanSolution, b_log: float, w: np.ndarray, cols) -> tuple[float, float]:
-    """Slope mismatch at the boundary and its natural scale."""
+def _smooth_fit_gap(
+    sol: MrEuropeanSolution, b_log: np.ndarray, w: np.ndarray, cols
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slope mismatch at each candidate boundary b_log[s] of the premium
+    solved in w[s], and its natural scale."""
     model, theta = sol.model, sol.theta
     d = model.delta
     bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
-    k = sol.log_strike
-    eb = math.exp(b_log)
-    cD, cF, cFm = cols
-    if sol.log_barrier is None:
-        lhs = float(np.sum(w[cF] * bM))
-    else:
-        bl = b_log - sol.log_barrier
-        lhs = float(np.sum(w[cF] * bM) + np.sum(w[cFm] * gM * np.exp(gM * bl)))
-    euro_slope = float(np.sum(sol.c_minus * gM * np.exp(gM * (b_log - k))))
-    rhs = d * eb / (d + theta) - euro_slope
-    scale = max(1.0, abs(d * eb / (d + theta)), abs(euro_slope))
-    return lhs - rhs, scale
+    eb = np.array([math.exp(b) for b in b_log])
+    _, cF, cFm = cols
+    lhs = (w[:, cF] * bM).sum(axis=1)
+    if sol.log_barrier is not None:
+        bl = (b_log - sol.log_barrier)[:, None]
+        lhs = lhs + (w[:, cFm] * gM * np.exp(gM * bl)).sum(axis=1)
+    euro_slope = (sol.c_minus * gM * np.exp(gM * (b_log - sol.log_strike)[:, None])).sum(axis=1)
+    exercise_slope = d * eb / (d + theta)
+    scale = np.maximum(1.0, np.maximum(np.abs(exercise_slope), np.abs(euro_slope)))
+    return lhs - (exercise_slope - euro_slope), scale
 
 
 @lru_cache(maxsize=4096)
@@ -479,10 +523,14 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     """Randomized American solution via an outer scalar search on the
     early-exercise boundary.
 
-    For each candidate boundary the premium system is assembled and solved
-    and the smooth-fit slope gap evaluated; the boundary is the unique sign
-    change of that gap on (K, K*e^20].  All sign changes found in the scan
-    are reported; more than one raises AmbiguousBoundaryError.
+    The boundary is the unique sign change of the smooth-fit slope gap on
+    (K, K*e^20].  A log-spaced scan brackets it: all its candidate premium
+    systems are assembled as one stack and solved by stacked LAPACK calls,
+    each system gated by the same condition and backward-error checks as a
+    single solve.  The scan ends at the first candidate that fails them
+    (the usable range stops there), and every sign change before it is
+    reported; more than one raises AmbiguousBoundaryError.  Brent's method
+    then pins the boundary inside the bracket, one candidate per step.
     """
     if model.delta <= 0.0:
         raise NoBoundaryError(
@@ -491,32 +539,28 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     euro = solve_european_mr(model, spec, theta)
     k = euro.log_strike
 
-    def gap(b_log: float) -> float:
+    def gaps(b_log: np.ndarray) -> tuple[np.ndarray, SingularSystemError | None]:
+        """Smooth-fit gaps of the leading candidates whose systems pass the
+        solve checks, and the failure of the first one that does not."""
         Q, q, _, _, cols = _assemble_american(euro, b_log)
-        (w,), _, _ = _solve_dense(Q, [q], "american system")
-        g, _ = _smooth_fit_gap(euro, b_log, w, cols)
-        return g
+        (w,), _, _, failure = _solve_dense(Q, [q], "american system")
+        return _smooth_fit_gap(euro, b_log[: len(w)], w, cols)[0], failure
+
+    def gap(b_log: float) -> float:
+        g, failure = gaps(np.array([b_log]))
+        if failure is not None:
+            raise failure
+        return float(g[0])
 
     def scan(offsets: np.ndarray) -> tuple[list[tuple[float, float]], bool]:
-        pts: list[float] = []
-        vals: list[float] = []
-        hit_wall = False
-        for off in offsets:
-            b = k + off
-            try:
-                vals.append(gap(b))
-            except SingularSystemError:
-                # far-out candidates overflow the beta exponentials; the
-                # usable scan range ends here
-                hit_wall = True
-                break
-            pts.append(b)
+        pts = k + offsets
+        vals, failure = gaps(pts)
         found = [
             (pts[i], pts[i + 1])
-            for i in range(len(pts) - 1)
+            for i in range(len(vals) - 1)
             if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0
         ]
-        return found, hit_wall
+        return found, failure is not None
 
     # log-offset grid from K*(1+1e-6), upper end expanded geometrically to e^20
     brackets, wall = scan(np.geomspace(math.log1p(1e-6), 5.0, _BOUNDARY_SCAN))
@@ -543,9 +587,11 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     b_log = float(brentq(gap, *brackets[0], xtol=1e-13, rtol=8.9e-16, maxiter=200))
 
     # one matrix serves the total and both premium-split right-hand sides
-    Q, q, q0, qJ, cols = _assemble_american(euro, b_log)
-    (w, w0, wJ), resid, cond = _solve_dense(Q, [q, q0, qJ], "american system")
-    g, g_scale = _smooth_fit_gap(euro, b_log, w, cols)
+    b = np.array([b_log])
+    Q, q, q0, qJ, cols = _assemble_american(euro, b)
+    (w, w0, wJ), resid, cond = _solve_all(Q, [q, q0, qJ], "american system")
+    g, g_scale = _smooth_fit_gap(euro, b, w, cols)
+    w, w0, wJ = w[0], w0[0], wJ[0]
     cD, cF, cFm = cols
     return MrAmericanSolution(
         european=euro,
@@ -554,9 +600,9 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
         d_plus=w[cD], f_plus=w[cF], f_minus=w[cFm],
         d0_plus=w0[cD], f0_plus=w0[cF], f0_minus=w0[cFm],
         dj_plus=wJ[cD], fj_plus=wJ[cF], fj_minus=wJ[cFm],
-        smooth_fit_residual=abs(g) / g_scale,
-        residual_inf=resid,
-        cond_estimate=cond,
+        smooth_fit_residual=float(abs(g[0]) / g_scale[0]),
+        residual_inf=float(resid[0]),
+        cond_estimate=float(cond[0]),
     )
 
 

@@ -21,7 +21,6 @@ from hejdstep import (
     gs_invert,
     gs_weights,
     laplace_exponent,
-    mc_euro_step_price,
     oide_residual,
     price_summary,
     price_time_domain,
@@ -223,10 +222,12 @@ def test_criterion_9_monte_carlo_cross_check():
     model = ladder_model(1.0)
     start = time.perf_counter()
     cfg = PathConfig(n_paths=1_000_000, dt=1e-3, seed=2026)
-    est = mc_euro_step_price(model, STEP, 1.0, 100.0, cfg)
+    # the duality check's call side is the mc_euro_step_price estimate for
+    # this configuration, bit for bit (TestVerify in test_cli.py asserts it)
+    duality = verify_duality(model, STEP, 1.0, 100.0, cfg)
+    est = duality.call
     engine = price_time_domain(model, STEP, 1.0, 100.0, "euro")
     z_price = (est.value - engine) / est.std_error
-    duality = verify_duality(model, STEP, 1.0, 100.0, cfg)
     elapsed = time.perf_counter() - start
     ok = abs(z_price) <= 3.0 and abs(duality.z_score) <= 3.0 and elapsed < 120.0
     assert report(9, ok, f"mc {est.value:.4f} vs engine {engine:.4f} (z={z_price:+.2f}); "

@@ -182,6 +182,30 @@ class TestOutputFiles:
         assert len(doc["roots"]) == 4
         assert not (tmp_path / "roots.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["roots", "CFG", "--alpha", "5.05", "--format", "json"], id="roots-json"),
+        pytest.param(["price", "CFG", "--t", "1", "--x", "100", "--quantity", "euro", "--format", "json"],
+                     id="price-json"),
+        pytest.param(["price", "CFG", "--t", "1", "--x", "100", "--quantity", "euro", "--format", "csv"],
+                     id="price-csv"),
+        pytest.param(["roots", "CFG", "--alpha", "5.05"], id="roots-text"),
+    ])
+    def test_files_end_in_newline_like_stdout(self, capsys, config_path, tmp_path, argv):
+        argv = [config_path if a == "CFG" else a for a in argv]
+        fmt = argv[-1] if "--format" in argv else "text"
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out_file = tmp_path / "roots.out"
+        assert main(argv + ["--out", str(out_file)]) == 0
+        body = out_file.read_text()
+        assert body.endswith("\n") and not body.endswith("\n\n")
+        if fmt == "json":
+            drop = lambda doc: {**doc, "manifest": None}  # timestamps differ
+            assert drop(json.loads(body)) == drop(json.loads(stdout))
+        else:
+            assert body == stdout
+            assert (tmp_path / "roots.out.manifest.json").read_text().endswith("}\n")
+
 
 class TestRoots:
     def test_text_lists_all_roots(self, capsys, config_path):

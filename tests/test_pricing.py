@@ -12,6 +12,7 @@ from hejdstep import (
     DownOutStepSpec,
     HejdModel,
     NoBoundaryError,
+    SingularSystemError,
     eval_american_mr,
     eval_eep_mr,
     eval_eep_split_mr,
@@ -21,6 +22,7 @@ from hejdstep import (
     solve_american_mr,
     solve_european_mr,
 )
+from hejdstep import pricing
 from conftest import random_model, random_spec
 
 THETA = 1.3
@@ -302,3 +304,174 @@ class TestZeroBarrierPremiumSplit:
             total, diff, jump = eval_eep_split_mr(sol, x)
             assert diff + jump == pytest.approx(total, rel=1e-9, abs=1e-12)
             assert total >= -1e-12
+
+
+HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
+                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
+                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
+SCAN_GRID = np.geomspace(math.log1p(1e-6), 5.0, 41)
+SCAN_CASES = [
+    pytest.param("kou", DownOutStepSpec(100.0, 95.0, -26.34), id="kou-step"),
+    pytest.param("kou", DownOutStepSpec(100.0, 95.0, -5.0e7), id="kou-knockout"),
+    pytest.param("heavy", DownOutStepSpec(100.0, 95.0, -26.34), id="m3n3-step"),
+    pytest.param("kou", DownOutStepSpec(100.0, 0.0, 0.0), id="zero-barrier"),
+    pytest.param("heavy", DownOutStepSpec(100.0, 0.0, 0.0), id="m3n3-zero-barrier"),
+    pytest.param("bs", DownOutStepSpec(100.0, 95.0, -26.34), id="lambda-0"),
+]
+
+
+def _assemble_reference(sol, b_log: float):
+    """One-candidate American system, row by row: the reference for the
+    stacked assembler (same arithmetic, so results must match bit for bit)."""
+    model, theta = sol.model, sol.theta
+    r, d, K, k = model.r, model.delta, sol.spec.strike, sol.log_strike
+    bM, gM, C = sol.roots_mid.betas, sol.roots_mid.gammas, sol.c_minus
+    xi, eta, mm, n = np.asarray(model.up_rates), np.asarray(model.down_rates), model.m, model.n
+    eb = math.exp(b_log)
+    cg = float(np.sum(C * np.exp(gM * (b_log - k))))
+    if sol.log_barrier is None:
+        size = mm + 1
+        Q, q0, qJ = np.zeros((size, size)), np.zeros(size), np.zeros(size)
+        for i in range(mm):
+            Q[i, :] = -1.0 / (xi[i] - bM)
+            qJ[i] = (float(np.sum(C * np.exp(gM * (b_log - k)) / (xi[i] - gM)))
+                     + r * K / (xi[i] * (r + theta)) - d * eb / ((xi[i] - 1.0) * (d + theta)))
+        Q[mm, :] = 1.0
+        q0[mm] = d * eb / (d + theta) - r * K / (r + theta) - cg
+        return Q, q0 + qJ, q0, qJ, [slice(0, 0), slice(0, size), slice(size, size)]
+    bL, bl = sol.roots_low.betas, b_log - sol.log_barrier
+    size = 2 * mm + n + 3
+    Q, q0, qJ = np.zeros((size, size)), np.zeros(size), np.zeros(size)
+    cD, cF, cFm = slice(0, mm + 1), slice(mm + 1, 2 * mm + 2), slice(2 * mm + 2, size)
+    for i in range(mm):
+        x_i = xi[i]
+        Q[i, cD] = -1.0 / (x_i - bL)
+        Q[i, cF] = (np.exp(-bM * bl) - math.exp(-x_i * bl)) / (x_i - bM)
+        Q[i, cFm] = (1.0 - np.exp((gM - x_i) * bl)) / (x_i - gM)
+        qJ[i] = (float(np.sum(C * math.exp(-x_i * bl) * np.exp(gM * (b_log - k)) / (x_i - gM)))
+                 + r * K * math.exp(-x_i * bl) / (x_i * (r + theta))
+                 - d * eb * math.exp(-x_i * bl) / ((x_i - 1.0) * (d + theta)))
+        Q[mm + i, cF] = -1.0 / (x_i - bM)
+        Q[mm + i, cFm] = -np.exp(gM * bl) / (x_i - gM)
+        qJ[mm + i] = (float(np.sum(C * np.exp(gM * (b_log - k)) / (x_i - gM)))
+                      + r * K / (x_i * (r + theta)) - d * eb / ((x_i - 1.0) * (d + theta)))
+    for j in range(n):
+        Q[2 * mm + j, cD] = 1.0 / (eta[j] + bL)
+        Q[2 * mm + j, cF] = -np.exp(-bM * bl) / (eta[j] + bM)
+        Q[2 * mm + j, cFm] = -1.0 / (eta[j] + gM)
+    row = 2 * mm + n
+    Q[row, cD], Q[row, cF], Q[row, cFm] = 1.0, -np.exp(-bM * bl), -1.0
+    Q[row + 1, cF], Q[row + 1, cFm] = 1.0, np.exp(gM * bl)
+    q0[row + 1] = d * eb / (d + theta) - r * K / (r + theta) - cg
+    Q[row + 2, cD], Q[row + 2, cF], Q[row + 2, cFm] = bL, -bM * np.exp(-bM * bl), -gM
+    return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
+
+
+def _gap_reference(sol, b_log: float, w: np.ndarray, cols) -> tuple[float, float]:
+    """One-candidate smooth-fit gap and its scale (reference)."""
+    d, theta = sol.model.delta, sol.theta
+    bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
+    eb = math.exp(b_log)
+    _, cF, cFm = cols
+    if sol.log_barrier is None:
+        lhs = float(np.sum(w[cF] * bM))
+    else:
+        bl = b_log - sol.log_barrier
+        lhs = float(np.sum(w[cF] * bM) + np.sum(w[cFm] * gM * np.exp(gM * bl)))
+    euro_slope = float(np.sum(sol.c_minus * gM * np.exp(gM * (b_log - sol.log_strike))))
+    rhs = d * eb / (d + theta) - euro_slope
+    return lhs - rhs, max(1.0, abs(d * eb / (d + theta)), abs(euro_slope))
+
+
+def _stacked_scan(euro, pts):
+    """(gaps, failure) of the boundary scan, all candidates in one stack."""
+    Q, q, _, _, cols = pricing._assemble_american(euro, pts)
+    (w,), _, _, failure = pricing._solve_dense(Q, [q], "american system")
+    return pricing._smooth_fit_gap(euro, pts[: len(w)], w, cols)[0], failure
+
+
+def _loop_scan(euro, pts):
+    """Reference: one candidate at a time, stopping at the first failure."""
+    vals = []
+    for b in pts:
+        Q, q, _, _, cols = pricing._assemble_american(euro, np.array([b]))
+        (w,), _, _, failure = pricing._solve_dense(Q, [q], "american system")
+        if failure is not None:
+            return vals, failure
+        vals.append(pricing._smooth_fit_gap(euro, np.array([b]), w, cols)[0][0])
+    return vals, None
+
+
+class TestStackedBoundaryScan:
+    @pytest.mark.parametrize("market, spec", SCAN_CASES)
+    def test_gaps_equal_per_candidate_loop(self, market, spec, kou_model, bs_model):
+        model = {"kou": kou_model, "heavy": HEAVY, "bs": bs_model}[market]
+        for theta in (0.05, math.log(2.0), 1.3, 9.7, 400.0):
+            euro = solve_european_mr(model, spec, theta)
+            pts = euro.log_strike + SCAN_GRID
+            vals, failure = _stacked_scan(euro, pts)
+            ref, ref_failure = _loop_scan(euro, pts)
+            assert failure is None and ref_failure is None
+            assert vals.tolist() == ref  # bit for bit
+
+    @pytest.mark.parametrize("market, spec", SCAN_CASES)
+    def test_assembly_equals_row_by_row_reference(self, market, spec, kou_model, bs_model):
+        model = {"kou": kou_model, "heavy": HEAVY, "bs": bs_model}[market]
+        for theta in (0.05, math.log(2.0), 1.3, 9.7, 400.0):
+            euro = solve_european_mr(model, spec, theta)
+            pts = euro.log_strike + SCAN_GRID
+            Q, q, q0, qJ, cols = pricing._assemble_american(euro, pts)
+            (w,), _, _ = pricing._solve_all(Q, [q], "american system")
+            gap, scale = pricing._smooth_fit_gap(euro, pts, w, cols)
+            for s, b in enumerate(pts):
+                Qr, qr, q0r, qJr, cols_r = _assemble_reference(euro, float(b))
+                assert cols == cols_r
+                for got, want in ((Q[s], Qr), (q[s], qr), (q0[s], q0r), (qJ[s], qJr)):
+                    assert np.array_equal(got, want), (theta, s)
+                assert (gap[s], scale[s]) == _gap_reference(euro, float(b), w[s], cols), (theta, s)
+
+    @staticmethod
+    def _poison(monkeypatch, bad: dict[float, str]) -> None:
+        """Make the system of each candidate in ``bad`` fail the solve check
+        named there, wherever the candidate sits in a stack."""
+        assemble = pricing._assemble_american
+
+        def poisoned(sol, b_log):
+            Q, q, q0, qJ, cols = assemble(sol, b_log)
+            for s, b in enumerate(b_log):
+                if bad.get(b) == "inf-matrix":
+                    Q[s, 1, 2] = math.inf
+                elif bad.get(b) == "nan-rhs":
+                    q[s, 0] = math.nan
+                elif bad.get(b) == "singular":
+                    Q[s, :, 1] = Q[s, :, 0]
+            return Q, q, q0, qJ, cols
+
+        monkeypatch.setattr(pricing, "_assemble_american", poisoned)
+
+    @pytest.mark.parametrize("poison", ["inf-matrix", "nan-rhs", "singular"])
+    @pytest.mark.parametrize("j", [0, 7, 40])
+    def test_forced_failure_stops_scan_at_candidate(self, monkeypatch, kou_model, step_spec, poison, j):
+        euro = solve_european_mr(kou_model, step_spec, THETA)
+        pts = euro.log_strike + SCAN_GRID
+        clean, _ = _stacked_scan(euro, pts)
+        # a later candidate failing an earlier check must not win
+        self._poison(monkeypatch, {pts[-1]: "inf-matrix", pts[j]: poison})
+        vals, failure = _stacked_scan(euro, pts)
+        ref, ref_failure = _loop_scan(euro, pts)
+        assert vals.tolist() == ref == clean[:j].tolist()
+        assert isinstance(failure, SingularSystemError)
+        assert str(failure) == str(ref_failure)
+
+    def test_wall_before_bracket_truncates_search(self, monkeypatch, kou_model, step_spec):
+        euro = solve_european_mr(kou_model, step_spec, THETA)
+        self._poison(monkeypatch, {(euro.log_strike + SCAN_GRID)[3]: "inf-matrix"})
+        with pytest.raises(NoBoundaryError, match="scan truncated by ill conditioning"):
+            solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+
+    def test_wall_after_bracket_keeps_boundary(self, monkeypatch, kou_model, step_spec, kou_amer):
+        euro = solve_european_mr(kou_model, step_spec, THETA)
+        self._poison(monkeypatch, {(euro.log_strike + SCAN_GRID)[-1]: "singular"})
+        sol = solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+        assert sol.log_boundary == kou_amer.log_boundary
+        assert np.array_equal(sol.f_plus, kou_amer.f_plus)

@@ -13,6 +13,7 @@ from hejdstep import (
     find_roots,
     laplace_exponent,
 )
+from hejdstep.model import _phi_prime_raw, _phi_raw
 from conftest import random_model
 
 
@@ -110,3 +111,48 @@ class TestRandomizedProperties:
             for t in list(roots.betas) + list(roots.gammas):
                 got = laplace_exponent(dual, 1.0 - t)
                 assert got == pytest.approx(target, abs=1e-8 * max(1.0, alpha))
+
+
+def _phi_numpy(model: HejdModel, theta: float) -> float:
+    """Array form of Phi that the scalar kernel replaced: the reference."""
+    p, xi = np.asarray(model.up_weights), np.asarray(model.up_rates)
+    q, eta = np.asarray(model.down_weights), np.asarray(model.down_rates)
+    value = model.drift * theta + 0.5 * model.sigma**2 * theta * theta
+    if model.lam > 0.0:
+        value += model.lam * (
+            float(np.sum(p * xi / (xi - theta)))
+            + float(np.sum(q * eta / (eta + theta)))
+            - 1.0
+        )
+    return value
+
+
+def _phi_prime_numpy(model: HejdModel, theta: float) -> float:
+    p, xi = np.asarray(model.up_weights), np.asarray(model.up_rates)
+    q, eta = np.asarray(model.down_weights), np.asarray(model.down_rates)
+    value = model.drift + model.sigma**2 * theta
+    if model.lam > 0.0:
+        value += model.lam * (
+            float(np.sum(p * xi / (xi - theta) ** 2))
+            - float(np.sum(q * eta / (eta + theta) ** 2))
+        )
+    return value
+
+
+class TestScalarKernel:
+    def test_bit_identical_to_array_form(self, kou_model, bs_model):
+        # wide uniform thetas, points a few ulps to 1e-3 off every pole, and
+        # the roots themselves, where the solver evaluates most often
+        rng = np.random.default_rng(77)
+        models = [kou_model, bs_model] + [random_model(rng) for _ in range(40)]
+        for model in models:
+            thetas = list(rng.uniform(-80.0, 80.0, size=40)) + list(rng.uniform(-1e4, 1e4, size=5))
+            for pole in model.poles:
+                for rel in (4e-16, 1e-12, 1e-9, 1e-6, 1e-3):
+                    thetas += [pole * (1.0 + rel), pole * (1.0 - rel)]
+            for alpha in (0.05, 3.0, 1e4):
+                roots = find_roots(model, alpha)
+                thetas += list(roots.betas) + list(roots.gammas)
+            for theta in map(float, thetas):
+                assert _phi_raw(model, theta) == _phi_numpy(model, theta), (model, theta)
+                assert _phi_prime_raw(model, theta) == _phi_prime_numpy(model, theta), (model, theta)

@@ -1,0 +1,102 @@
+"""Output fingerprint of the hejdstep engine: exact values, one hash.
+
+Prints one line per value, ``<label> <float.hex()>``, then ``sha256 <hex>``
+over those lines.  Two trees that print the same hash return bit-identical
+outputs on:
+
+- ``price_summary`` of 28 contracts: 9 Kou reference contracts (knock rates
+  0, -26.34 and -5e7 at spots 90, 100 and 110), 3 Kou zero-barrier, 3
+  lambda = 0 step and 3 lambda = 0 zero-barrier contracts, and 8 seeded
+  random HEJD contracts;
+- every cell of ``build_table(1)`` and ``build_table(2)``;
+- one seeded 10,000-path ``mc_euro_step_price`` on the Kou step contract.
+
+A contract that raises prints its error type and message instead.  Run from
+the root of a checkout:
+
+    PYTHONPATH=src python3 tools/fingerprint.py
+
+Point PYTHONPATH at another tree's ``src`` to fingerprint that tree; the
+path of the imported package goes to standard error.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+import hejdstep
+from hejdstep import DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary
+from hejdstep.tables import build_table
+
+KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
+                up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
+BS = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0)
+STEP = DownOutStepSpec(100.0, 95.0, -26.34)
+ZERO_BARRIER = DownOutStepSpec(100.0, 0.0, 0.0)
+SPOTS = (90.0, 100.0, 110.0)
+
+
+def _random_contract(rng: np.random.Generator) -> tuple[HejdModel, DownOutStepSpec, float, float]:
+    """HEJD market with one to three terms per side, a step contract, a
+    maturity and a spot between the barrier and the strike."""
+    m, n = (int(k) for k in rng.integers(1, 4, size=2))
+    raw = rng.uniform(0.2, 1.0, size=m + n)
+    weights = raw / raw.sum()
+    model = HejdModel(
+        r=float(rng.uniform(0.0, 0.08)), delta=float(rng.uniform(0.02, 0.10)),
+        sigma=float(rng.uniform(0.15, 0.45)), lam=float(rng.uniform(0.1, 8.0)),
+        up_weights=tuple(weights[:m]), up_rates=tuple(1.5 + np.cumsum(rng.uniform(1.0, 20.0, size=m))),
+        down_weights=tuple(weights[m:]), down_rates=tuple(0.8 + np.cumsum(rng.uniform(1.0, 20.0, size=n))),
+    )
+    barrier = float(rng.uniform(82.0, 97.0))
+    spec = DownOutStepSpec(100.0, barrier, float(-rng.uniform(0.5, 60.0)))
+    return model, spec, float(rng.uniform(0.25, 2.0)), float(rng.uniform(barrier + 1.0, 100.0))
+
+
+def contracts() -> list[tuple[str, HejdModel, DownOutStepSpec, float, float]]:
+    out = []
+    for rho in (0.0, -26.34, -5.0e7):
+        out += [(f"kou rho={rho:g}", KOU, DownOutStepSpec(100.0, 95.0, rho), 1.0, x) for x in SPOTS]
+    out += [("kou zero-barrier", KOU, ZERO_BARRIER, 1.0, x) for x in SPOTS]
+    out += [("lambda=0 step", BS, STEP, 1.0, x) for x in SPOTS]
+    out += [("lambda=0 zero-barrier", BS, ZERO_BARRIER, 1.0, x) for x in SPOTS]
+    rng = np.random.default_rng(2026)
+    for i in range(8):
+        out.append((f"random {i}",) + _random_contract(rng))
+    return out
+
+
+def lines() -> list[str]:
+    out = []
+    for name, model, spec, t, x in contracts():
+        label = f"price_summary[{name} t={t!r} x={x!r}]"
+        try:
+            summary = price_summary(model, spec, t, x)
+        except hejdstep.HejdStepError as exc:
+            out.append(f"{label} {type(exc).__name__}: {exc}")
+            continue
+        out += [f"{label}.{key} {value.hex()}" for key, value in summary.items()]
+    for table_id in (1, 2):
+        table = build_table(table_id)
+        for i, row in enumerate(table.rows):
+            out += [f"table{table_id}[{i}].{col} {float(v).hex()}" for col, v in zip(table.header, row)]
+    est = mc_euro_step_price(KOU, STEP, 1.0, 100.0, PathConfig(n_paths=10_000, seed=2026))
+    out += [f"mc_euro_step_price.value {est.value.hex()}", f"mc_euro_step_price.std_error {est.std_error.hex()}"]
+    return out
+
+
+def main() -> int:
+    print(f"hejdstep from {hejdstep.__file__}", file=sys.stderr)
+    body = lines()
+    digest = hashlib.sha256("\n".join(body).encode()).hexdigest()
+    print("\n".join(body))
+    print(f"sha256 {digest}")
+    print(f"{len(body)} values, sha256 {digest}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
