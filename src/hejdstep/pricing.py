@@ -5,17 +5,23 @@ intensity theta turns the pricing PIDE into an ordinary integro-differential
 equation whose solutions are piecewise combinations of power functions
 x^{root}, with the roots taken at level r + theta - knock_rate below the
 barrier and r + theta elsewhere.  Matching the jump-integral residuals across
-regions plus value/slope continuity at the barrier and the strike closes a
-dense linear system for the coefficients; the American contract adds an
-early-exercise boundary pinned by smooth fit, and its premium splits into
-diffusion and jump contributions that share the same matrix and differ only
-in the right-hand side.
+regions plus value/slope continuity at the seams closes a dense linear
+system for the coefficients.  The American contract adds an early-exercise
+boundary pinned by smooth fit, and its premium splits into diffusion and
+jump contributions that share the same matrix and differ only in the
+right-hand side.
+
+The European price and the American premium solve the same equation on the
+corridor between the barrier and an upper seam (the strike, or a candidate
+boundary), and one assembler builds both systems: on the corridor the beta
+terms are anchored at the upper seam and the gamma terms at the barrier,
+each where it is largest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -60,10 +66,11 @@ class MrEuropeanSolution:
     """Piecewise-exponential representation of the randomized European price.
 
     Below the barrier the price is sum_s a_plus[s] (x/L)^{betas_low[s]}, on
-    [L, K] it is sum_s b_plus[s] (x/L)^{betas_mid[s]} + sum_u b_minus[u]
-    (x/K)^{gammas[u]}, and above K it is sum_u c_minus[u] (x/K)^{gammas[u]}
-    + slope_inf * x - offset_inf.  With barrier == 0 the lower region is
-    empty, the gamma terms below the strike vanish, and b_plus anchors at K.
+    [L, K] it is sum_s b_plus[s] (x/K)^{betas_mid[s]} + sum_u b_minus[u]
+    (x/L)^{gammas[u]}, and above K it is sum_u c_minus[u] (x/K)^{gammas[u]}
+    + slope_inf * x - offset_inf.  Each family is anchored where it is
+    largest: b_plus at K and b_minus at L.  With barrier == 0 the lower
+    region is empty and the gamma terms below the strike vanish.
     """
 
     model: HejdModel
@@ -82,10 +89,6 @@ class MrEuropeanSolution:
     offset_inf: float
     residual_inf: float
     cond_estimate: float
-
-    @property
-    def mid_anchor(self) -> float:
-        return self.log_strike if self.log_barrier is None else self.log_barrier
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,146 +241,198 @@ def _solve_all(
     return sols, resid, cond
 
 
+def _assemble(
+    sol: MrEuropeanSolution, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[slice]]:
+    """Systems of the European price or the American premium at a stack of
+    S upper log-anchors u.
+
+    Below the barrier L the solution is sum_s D[s] (x/L)^{betas_low[s]}.  On
+    the corridor [L, U], U = e^u, it is sum_s F[s] (x/U)^{betas_mid[s]} +
+    sum_v Fm[v] (x/L)^{gammas[v]}: each family is anchored where it is
+    largest, so every matrix entry carries a decaying exponential and the
+    system stays bounded however far apart L and U sit.  Above U it is a
+    linear part plus gamma terms anchored at K:
+
+    - the American premium, when sol is solved: U is a candidate boundary
+      and above it the premium is the known exercise gap x - K - Euro(x);
+    - the European price, when sol.c_minus is None: U = K, and the n + 1
+      gamma coefficients above K are unknowns too.  Their columns follow
+      the corridor's, closed by the down-jump residuals seen from above K
+      and slope continuity at K.
+
+    With a zero barrier the D and Fm columns and the barrier's rows are left
+    out.  Returns (Q, q_total, q_diffusion, q_jump, [cD, cF, cFm]): Q has
+    shape (S, size, size) and each right-hand side (S, size).  The diffusion
+    right-hand side carries the value (and slope) rows at U, the jump one
+    the jump-integral rows, and they sum to q_total.  Exponentials of a
+    scalar (an anchor, or an anchor times an up rate) go through math.exp,
+    one call each: numpy's vectorized exp differs from it in the last bit
+    for a few percent of arguments.
+    """
+    model, theta = sol.model, sol.theta
+    r, d = model.r, model.delta
+    bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
+    xi = np.asarray(model.up_rates)
+    eta = np.asarray(model.down_rates)[:, None]
+    xi_bM = xi[:, None] - bM
+    xi_gM = xi[:, None] - gM
+    up_r = xi * (r + theta)
+    up_d = (xi - 1.0) * (d + theta)
+    mm, n = model.m, model.n
+    S = len(u)
+    barrier = sol.log_barrier is not None
+    free = sol.c_minus is None
+    e_tail = np.exp(gM * (u - sol.log_strike)[:, None])  # tail gamma terms at U
+    cD = slice(0, mm + 1 if barrier else 0)
+    cF = slice(cD.stop, cD.stop + mm + 1)
+    cFm = slice(cF.stop, cF.stop + (n + 1 if barrier else 0))
+    size = cFm.stop + (n + 1 if free else 0)
+    cC = slice(cFm.stop, size)
+    # rows: up-jump residuals seen from below the barrier and from the
+    # corridor, down-jump residuals seen from the corridor and from above U,
+    # value at L and at U, slope at L and at U
+    r_lo = slice(0, mm if barrier else 0)
+    r_up = slice(r_lo.stop, r_lo.stop + mm)
+    r_dn = slice(r_up.stop, r_up.stop + (n if barrier else 0))
+    r_hi = slice(r_dn.stop, r_dn.stop + (n if free else 0))
+    v_L, v_U = r_hi.stop, r_hi.stop + barrier
+    s_L, s_U = v_U + 1, v_U + 1 + barrier
+    Q = np.zeros((S, size, size))
+    q0 = np.zeros((S, size))
+    qJ = np.zeros((S, size))
+    # above U: a linear part a x - c, which enters the rows through
+    # n_r = (r + theta) c and n_d = (d + theta) a U, plus the tail's gamma terms
+    if free:
+        # European price: theta x / (d + theta) - theta K / (r + theta) plus
+        # unknown gamma terms, closed by the down-jump residuals seen from
+        # above K and slope continuity at K
+        n_r = theta * sol.spec.strike
+        n_d = np.full(S, n_r)
+        Q[:, r_up, cC] = e_tail[:, None, :] / xi_gM
+        Q[:, v_U, cC] = -e_tail
+        Q[:, r_hi, cF] = 1.0 / (eta + bM)
+        Q[:, r_hi, cC] = -e_tail[:, None, :] / (eta + gM)
+        qJ[:, r_hi] = n_d[:, None] / ((eta.T + 1.0) * (d + theta)) - n_r / (eta.T * (r + theta))
+        Q[:, s_U, cF] = bM
+        Q[:, s_U, cC] = -gM * e_tail
+        q0[:, s_U] = n_d / (d + theta)
+        known_up = known_value = 0.0
+    else:
+        # exercise gap: d x / (d + theta) - r K / (r + theta) minus the
+        # European's gamma terms, all known
+        n_r = r * sol.spec.strike
+        n_d = d * np.array([math.exp(b) for b in u])
+        C_euro = sol.c_minus * e_tail
+        known_up = (C_euro[:, None, :] / xi_gM).sum(axis=2)
+        known_value = C_euro.sum(axis=1)
+    # up-jump residuals seen from the corridor, value at U
+    Q[:, r_up, cF] = -1.0 / xi_bM
+    qJ[:, r_up] = known_up + n_r / up_r - n_d[:, None] / up_d
+    Q[:, v_U, cF] = 1.0
+    q0[:, v_U] = n_d / (d + theta) - n_r / (r + theta) - known_value
+    if not barrier:
+        return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
+
+    bL = sol.roots_low.betas
+    bl = u - sol.log_barrier
+    # (U/L)^{-xi_i}: an up jump from the barrier clears U
+    e_up = np.array([[math.exp(-x * v) for x in model.up_rates] for v in bl])
+    bl = bl[:, None]
+    e_beta = np.exp(-bM * bl)  # beta terms at the barrier
+    e_gamma = np.exp(gM * bl)  # gamma terms at U
+    # up-jump residuals seen from below the barrier
+    Q[:, r_lo, cD] = -1.0 / (xi[:, None] - bL)
+    Q[:, r_lo, cF] = (e_beta[:, None, :] - e_up[:, :, None]) / xi_bM
+    Q[:, r_lo, cFm] = (1.0 - np.exp((gM - xi[:, None]) * bl[:, :, None])) / xi_gM
+    if free:
+        Q[:, r_lo, cC] = e_up[:, :, None] * e_tail[:, None, :] / xi_gM
+        known_lo = 0.0
+    else:
+        known_lo = (sol.c_minus * e_up[:, :, None] * e_tail[:, None, :] / xi_gM).sum(axis=2)
+    qJ[:, r_lo] = known_lo + n_r * e_up / up_r - n_d[:, None] * e_up / up_d
+    # the corridor's gamma terms in the up-jump rows and the value row at U
+    Q[:, r_up, cFm] = -e_gamma[:, None, :] / xi_gM
+    Q[:, v_U, cFm] = e_gamma
+    # down-jump residuals seen from the corridor, value and slope at L
+    Q[:, r_dn, cD] = 1.0 / (eta + bL)
+    Q[:, r_dn, cF] = -e_beta[:, None, :] / (eta + bM)
+    Q[:, r_dn, cFm] = -1.0 / (eta + gM)
+    Q[:, v_L, cD] = 1.0
+    Q[:, v_L, cF] = -e_beta
+    Q[:, v_L, cFm] = -1.0
+    Q[:, s_L, cD] = bL
+    Q[:, s_L, cF] = -bM * e_beta
+    Q[:, s_L, cFm] = -gM
+    if free:
+        # the barrier's columns in the rows above K; (U/L)^{-eta_j}: a down
+        # jump from U clears the barrier
+        e_dn = np.exp(-eta.T * bl)
+        Q[:, r_hi, cD] = e_dn[:, :, None] / (eta + bL)
+        Q[:, r_hi, cF] = (1.0 - e_dn[:, :, None] * e_beta[:, None, :]) / (eta + bM)
+        Q[:, r_hi, cFm] = (e_gamma[:, None, :] - e_dn[:, :, None]) / (eta + gM)
+        Q[:, s_U, cFm] = gM * e_gamma
+    return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
+
+
 @lru_cache(maxsize=4096)
 def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> MrEuropeanSolution:
     """Coefficients of the maturity-randomized European down-and-out step call.
 
     Assembles the dense (2m+2n+4)-square system (or the reduced (m+n+2) one
-    when the barrier is 0) and solves it by LU with partial pivoting.  All
-    exponentials enter in shifted form exp(root * (logK - logL)); nothing is
-    clamped, ill conditioning raises SingularSystemError.
+    when the barrier is 0) with _assemble at the upper anchor K, so b_plus
+    is anchored at K and b_minus at L, and solves it by LU with partial
+    pivoting.  Nothing is clamped, ill conditioning raises
+    SingularSystemError.
     """
     theta = float(theta)
     if not theta > 0.0:
         raise ValueError("theta must be strictly positive")
     r, d = model.r, model.delta
-    K = spec.strike
-    k = math.log(K)
-    rho = spec.knock_rate
     barrier_eff, ell = _effective_log_barrier(spec)
     roots_mid = find_roots(model, r + theta)
-    bM, gM = roots_mid.betas, roots_mid.gammas
-    xi = np.asarray(model.up_rates)
-    eta = np.asarray(model.down_rates)
-    mm, n = model.m, model.n
-    thK = theta * K
-    slope_inf = theta / (d + theta)
-    offset_inf = thK / (r + theta)
-
-    if ell is None:
-        # barrier at zero: single region below the strike, beta terms anchored
-        # at log K, no decaying-at-minus-infinity gamma terms below K
-        roots_low = None
-        size = mm + n + 2
-        Q = np.zeros((size, size))
-        rhs = np.zeros(size)
-        cB = slice(0, mm + 1)
-        cC = slice(mm + 1, size)
-        row = 0
-        for i in range(mm):
-            Q[row, cB] = -1.0 / (xi[i] - bM)
-            Q[row, cC] = 1.0 / (xi[i] - gM)
-            rhs[row] = thK / (xi[i] * (r + theta)) - thK / ((xi[i] - 1.0) * (d + theta))
-            row += 1
-        for j in range(n):
-            Q[row, cB] = 1.0 / (eta[j] + bM)
-            Q[row, cC] = -1.0 / (eta[j] + gM)
-            rhs[row] = thK / ((eta[j] + 1.0) * (d + theta)) - thK / (eta[j] * (r + theta))
-            row += 1
-        Q[row, cB] = 1.0
-        Q[row, cC] = -1.0
-        rhs[row] = thK / (d + theta) - thK / (r + theta)
-        row += 1
-        Q[row, cB] = bM
-        Q[row, cC] = -gM
-        rhs[row] = thK / (d + theta)
-        (v,), resid, cond = _solve_all(Q[None], [rhs[None]], "european system (zero barrier)")
-        return MrEuropeanSolution(
-            model=model, spec=spec, theta=theta,
-            roots_low=roots_low, roots_mid=roots_mid,
-            a_plus=np.zeros(0), b_plus=v[0, cB], b_minus=np.zeros(0), c_minus=v[0, cC],
-            barrier_eff=0.0, log_barrier=None, log_strike=k,
-            slope_inf=slope_inf, offset_inf=offset_inf,
-            residual_inf=float(resid[0]), cond_estimate=float(cond[0]),
-        )
-
-    # r + theta - 0.0 == r + theta exactly, so a standard contract's low
-    # region shares the mid-region roots
-    roots_low = roots_mid if rho == 0.0 else find_roots(model, r + theta - rho)
-    bL = roots_low.betas
-    kl = k - ell
-    size = 2 * mm + 2 * n + 4
-    Q = np.zeros((size, size))
-    rhs = np.zeros(size)
-    cA = slice(0, mm + 1)
-    cB = slice(mm + 1, 2 * mm + 2)
-    cBm = slice(2 * mm + 2, 2 * mm + n + 3)
-    cC = slice(2 * mm + n + 3, size)
-    row = 0
-    # up-jump residuals seen from below the barrier
-    for i in range(mm):
-        x_i = xi[i]
-        Q[row, cA] = -1.0 / (x_i - bL)
-        Q[row, cB] = (1.0 - np.exp((bM - x_i) * kl)) / (x_i - bM)
-        Q[row, cBm] = (np.exp(-gM * kl) - math.exp(-x_i * kl)) / (x_i - gM)
-        Q[row, cC] = math.exp(-x_i * kl) / (x_i - gM)
-        rhs[row] = thK * math.exp(-x_i * kl) * (
-            1.0 / (x_i * (r + theta)) - 1.0 / ((x_i - 1.0) * (d + theta))
-        )
-        row += 1
-    # up-jump residuals seen from the barrier-strike corridor
-    for i in range(mm):
-        x_i = xi[i]
-        Q[row, cB] = -np.exp(bM * kl) / (x_i - bM)
-        Q[row, cBm] = -1.0 / (x_i - gM)
-        Q[row, cC] = 1.0 / (x_i - gM)
-        rhs[row] = thK / (x_i * (r + theta)) - thK / ((x_i - 1.0) * (d + theta))
-        row += 1
-    # down-jump residuals seen from the corridor
-    for j in range(n):
-        e_j = eta[j]
-        Q[row, cA] = 1.0 / (e_j + bL)
-        Q[row, cB] = -1.0 / (e_j + bM)
-        Q[row, cBm] = -np.exp(-gM * kl) / (e_j + gM)
-        row += 1
-    # down-jump residuals seen from above the strike
-    for j in range(n):
-        e_j = eta[j]
-        Q[row, cA] = math.exp(-e_j * kl) / (e_j + bL)
-        Q[row, cB] = (np.exp(bM * kl) - math.exp(-e_j * kl)) / (e_j + bM)
-        Q[row, cBm] = (1.0 - np.exp(-(e_j + gM) * kl)) / (e_j + gM)
-        Q[row, cC] = -1.0 / (e_j + gM)
-        rhs[row] = -thK / (e_j * (r + theta)) + thK / ((e_j + 1.0) * (d + theta))
-        row += 1
-    # value continuity at the barrier and the strike
-    Q[row, cA] = 1.0
-    Q[row, cB] = -1.0
-    Q[row, cBm] = -np.exp(-gM * kl)
-    row += 1
-    Q[row, cB] = np.exp(bM * kl)
-    Q[row, cBm] = 1.0
-    Q[row, cC] = -1.0
-    rhs[row] = thK / (d + theta) - thK / (r + theta)
-    row += 1
-    # slope continuity at the barrier and the strike
-    Q[row, cA] = bL
-    Q[row, cB] = -bM
-    Q[row, cBm] = -gM * np.exp(-gM * kl)
-    row += 1
-    Q[row, cB] = bM * np.exp(bM * kl)
-    Q[row, cBm] = gM
-    Q[row, cC] = -gM
-    rhs[row] = thK / (d + theta)
-
-    (v,), resid, cond = _solve_all(Q[None], [rhs[None]], "european system")
-    return MrEuropeanSolution(
+    roots_low = None
+    if ell is not None:
+        # r + theta - 0.0 == r + theta exactly, so a standard contract's low
+        # region shares the mid-region roots
+        roots_low = roots_mid if spec.knock_rate == 0.0 else find_roots(model, r + theta - spec.knock_rate)
+    # a solution without coefficients: _assemble takes its tail's gamma
+    # terms as unknowns too
+    frame = MrEuropeanSolution(
         model=model, spec=spec, theta=theta,
         roots_low=roots_low, roots_mid=roots_mid,
-        a_plus=v[0, cA], b_plus=v[0, cB], b_minus=v[0, cBm], c_minus=v[0, cC],
-        barrier_eff=barrier_eff, log_barrier=ell, log_strike=k,
-        slope_inf=slope_inf, offset_inf=offset_inf,
+        a_plus=None, b_plus=None, b_minus=None, c_minus=None,
+        barrier_eff=barrier_eff, log_barrier=ell, log_strike=math.log(spec.strike),
+        slope_inf=theta / (d + theta), offset_inf=theta * spec.strike / (r + theta),
+        residual_inf=math.nan, cond_estimate=math.nan,
+    )
+    Q, q, _, _, (cA, cB, cBm) = _assemble(frame, np.array([frame.log_strike]))
+    (v,), resid, cond = _solve_all(Q, [q], "european system")
+    return replace(
+        frame,
+        a_plus=v[0, cA], b_plus=v[0, cB], b_minus=v[0, cBm], c_minus=v[0, cBm.stop:],
         residual_inf=float(resid[0]), cond_estimate=float(cond[0]),
     )
+
+
+def _eval_corridor(
+    euro: MrEuropeanSolution,
+    low: np.ndarray,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    log_upper: float,
+    x: float,
+) -> float:
+    """Value at spot 0 < x <= upper anchor of a solution assembled by
+    _assemble: low below the barrier, beta anchored at log_upper and gamma
+    at the barrier."""
+    lx = math.log(x)
+    if euro.log_barrier is not None and x < euro.barrier_eff:
+        return float(np.sum(low * np.exp(euro.roots_low.betas * (lx - euro.log_barrier))))
+    out = float(np.sum(beta * np.exp(euro.roots_mid.betas * (lx - log_upper))))
+    if gamma.size:
+        out += float(np.sum(gamma * np.exp(euro.roots_mid.gammas * (lx - euro.log_barrier))))
+    return out
 
 
 def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
@@ -387,115 +442,11 @@ def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
         raise ValueError("spot must be non-negative")
     if x == 0.0:
         return 0.0
+    if x <= sol.spec.strike:
+        return _eval_corridor(sol, sol.a_plus, sol.b_plus, sol.b_minus, sol.log_strike, x)
     lx = math.log(x)
-    K = sol.spec.strike
-    if sol.log_barrier is not None and x < sol.barrier_eff:
-        return float(np.sum(sol.a_plus * np.exp(sol.roots_low.betas * (lx - sol.log_barrier))))
-    if x <= K:
-        out = float(np.sum(sol.b_plus * np.exp(sol.roots_mid.betas * (lx - sol.mid_anchor))))
-        if sol.b_minus.size:
-            out += float(np.sum(sol.b_minus * np.exp(sol.roots_mid.gammas * (lx - sol.log_strike))))
-        return out
     tail = float(np.sum(sol.c_minus * np.exp(sol.roots_mid.gammas * (lx - sol.log_strike))))
     return tail + sol.slope_inf * x - sol.offset_inf
-
-
-def _assemble_american(
-    sol: MrEuropeanSolution, b_log: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[slice]]:
-    """American premium systems at a stack of S candidate log-boundaries.
-
-    Returns (Q, q_total, q_diffusion, q_jump, column slices): Q has shape
-    (S, size, size) and each right-hand side (S, size).  The diffusion
-    right-hand side carries only the value-matching row at the boundary, the
-    jump one carries the jump-integral rows, and they sum to q_total.
-
-    Each exponential family is anchored where it is largest: the beta terms
-    at the boundary, the gamma terms at the barrier (the unknowns are the
-    per-term values there).  Every matrix entry then carries a decaying
-    exponential and the system stays bounded however far out the candidate
-    boundary sits.  Exponentials of a scalar (a candidate, or a candidate
-    times an up rate) go through math.exp, one call each: numpy's vectorized
-    exp differs from it in the last bit for a few percent of arguments.
-    """
-    model, theta = sol.model, sol.theta
-    r, d = model.r, model.delta
-    rK = r * sol.spec.strike
-    bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
-    xi = np.asarray(model.up_rates)
-    xi_bM = xi[:, None] - bM
-    xi_gM = xi[:, None] - gM
-    up_r = xi * (r + theta)
-    up_d = (xi - 1.0) * (d + theta)
-    mm, n = model.m, model.n
-    S = len(b_log)
-    d_eb = d * np.array([math.exp(b) for b in b_log])
-    e_euro = np.exp(gM * (b_log - sol.log_strike)[:, None])  # gamma terms of the Euro at b
-    C_euro = sol.c_minus * e_euro
-    value_gap = d_eb / (d + theta) - rK / (r + theta) - C_euro.sum(axis=1)
-    # jump rows of the corridor: the exercise gap an up jump lands in
-    up_gap = (C_euro[:, None, :] / xi_gM).sum(axis=2) + rK / up_r - d_eb[:, None] / up_d
-
-    if sol.log_barrier is None:
-        # zero barrier: premium is a pure beta combination below the boundary
-        size = mm + 1
-        Q = np.zeros((S, size, size))
-        qJ = np.zeros((S, size))
-        q0 = np.zeros((S, size))
-        Q[:, :mm, :] = -1.0 / xi_bM
-        qJ[:, :mm] = up_gap
-        Q[:, mm, :] = 1.0
-        q0[:, mm] = value_gap
-        return Q, q0 + qJ, q0, qJ, [slice(0, 0), slice(0, size), slice(size, size)]
-
-    bL = sol.roots_low.betas
-    eta = np.asarray(model.down_rates)[:, None]
-    bl = b_log - sol.log_barrier
-    # (b/L)^{-xi_i}: an up jump from the barrier clears the boundary
-    e_up = np.array([[math.exp(-x * v) for x in model.up_rates] for v in bl])
-    bl = bl[:, None]
-    e_beta = np.exp(-bM * bl)  # beta terms at the barrier
-    e_gamma = np.exp(gM * bl)  # gamma terms at the boundary
-    size = 2 * mm + n + 3
-    Q = np.zeros((S, size, size))
-    q0 = np.zeros((S, size))
-    qJ = np.zeros((S, size))
-    cD = slice(0, mm + 1)
-    cF = slice(mm + 1, 2 * mm + 2)
-    cFm = slice(2 * mm + 2, size)
-    # up-jump residuals seen from below the barrier
-    rows = slice(0, mm)
-    Q[:, rows, cD] = -1.0 / (xi[:, None] - bL)
-    Q[:, rows, cF] = (e_beta[:, None, :] - e_up[:, :, None]) / xi_bM
-    Q[:, rows, cFm] = (1.0 - np.exp((gM - xi[:, None]) * bl[:, :, None])) / xi_gM
-    qJ[:, rows] = (
-        (sol.c_minus * e_up[:, :, None] * e_euro[:, None, :] / xi_gM).sum(axis=2)
-        + rK * e_up / up_r
-        - d_eb[:, None] * e_up / up_d
-    )
-    # up-jump residuals seen from the corridor
-    rows = slice(mm, 2 * mm)
-    Q[:, rows, cF] = -1.0 / xi_bM
-    Q[:, rows, cFm] = -e_gamma[:, None, :] / xi_gM
-    qJ[:, rows] = up_gap
-    # down-jump residuals seen from the corridor
-    rows = slice(2 * mm, 2 * mm + n)
-    Q[:, rows, cD] = 1.0 / (eta + bL)
-    Q[:, rows, cF] = -e_beta[:, None, :] / (eta + bM)
-    Q[:, rows, cFm] = -1.0 / (eta + gM)
-    # value continuity at the barrier, value match at the boundary
-    row = 2 * mm + n
-    Q[:, row, cD] = 1.0
-    Q[:, row, cF] = -e_beta
-    Q[:, row, cFm] = -1.0
-    Q[:, row + 1, cF] = 1.0
-    Q[:, row + 1, cFm] = e_gamma
-    q0[:, row + 1] = value_gap
-    # slope continuity at the barrier
-    Q[:, row + 2, cD] = bL
-    Q[:, row + 2, cF] = -bM * e_beta
-    Q[:, row + 2, cFm] = -gM
-    return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
 
 
 def _smooth_fit_gap(
@@ -542,7 +493,7 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     def gaps(b_log: np.ndarray) -> tuple[np.ndarray, SingularSystemError | None]:
         """Smooth-fit gaps of the leading candidates whose systems pass the
         solve checks, and the failure of the first one that does not."""
-        Q, q, _, _, cols = _assemble_american(euro, b_log)
+        Q, q, _, _, cols = _assemble(euro, b_log)
         (w,), _, _, failure = _solve_dense(Q, [q], "american system")
         return _smooth_fit_gap(euro, b_log[: len(w)], w, cols)[0], failure
 
@@ -588,7 +539,7 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
 
     # one matrix serves the total and both premium-split right-hand sides
     b = np.array([b_log])
-    Q, q, q0, qJ, cols = _assemble_american(euro, b)
+    Q, q, q0, qJ, cols = _assemble(euro, b)
     (w, w0, wJ), resid, cond = _solve_all(Q, [q, q0, qJ], "american system")
     g, g_scale = _smooth_fit_gap(euro, b, w, cols)
     w, w0, wJ = w[0], w0[0], wJ[0]
@@ -606,25 +557,6 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     )
 
 
-def _eval_premium_piece(
-    sol: MrAmericanSolution,
-    d_plus: np.ndarray,
-    f_plus: np.ndarray,
-    f_minus: np.ndarray,
-    x: float,
-) -> float:
-    euro = sol.european
-    lx = math.log(x)
-    if euro.log_barrier is not None and x < euro.barrier_eff:
-        return float(np.sum(d_plus * np.exp(euro.roots_low.betas * (lx - euro.log_barrier))))
-    # premium corridor terms: beta family anchored at the boundary, gamma
-    # family at the barrier (each where it is largest)
-    out = float(np.sum(f_plus * np.exp(euro.roots_mid.betas * (lx - sol.log_boundary))))
-    if f_minus.size:
-        out += float(np.sum(f_minus * np.exp(euro.roots_mid.gammas * (lx - euro.log_barrier))))
-    return out
-
-
 def eval_eep_mr(sol: MrAmericanSolution, x: float) -> float:
     """Randomized early-exercise premium at spot x."""
     x = float(x)
@@ -634,7 +566,7 @@ def eval_eep_mr(sol: MrAmericanSolution, x: float) -> float:
         return 0.0
     if x >= sol.boundary:
         return x - sol.european.spec.strike - eval_european_mr(sol.european, x)
-    return _eval_premium_piece(sol, sol.d_plus, sol.f_plus, sol.f_minus, x)
+    return _eval_corridor(sol.european, sol.d_plus, sol.f_plus, sol.f_minus, sol.log_boundary, x)
 
 
 def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, float]:
@@ -656,8 +588,9 @@ def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, 
         return total, gap_at(x), 0.0
     if x > sol.boundary:
         return total, 0.0, gap_at(x)
-    diff = _eval_premium_piece(sol, sol.d0_plus, sol.f0_plus, sol.f0_minus, x)
-    jump = _eval_premium_piece(sol, sol.dj_plus, sol.fj_plus, sol.fj_minus, x)
+    euro, b = sol.european, sol.log_boundary
+    diff = _eval_corridor(euro, sol.d0_plus, sol.f0_plus, sol.f0_minus, b, x)
+    jump = _eval_corridor(euro, sol.dj_plus, sol.fj_plus, sol.fj_minus, b, x)
     return total, diff, jump
 
 

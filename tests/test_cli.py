@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from hejdstep import PathConfig, mc_euro_step_price
+from hejdstep import PathConfig, mc_euro_step_price, pricing
 from hejdstep.cli import main
 from hejdstep.config import parse_config
 
@@ -137,12 +137,21 @@ class TestErrors:
         assert doc["error"]["exit_code"] == 3
         assert doc["error"]["type"] == "NoBoundaryError"
 
-    def test_engine_error_reads_as_one_sentence(self, capsys, tmp_path):
-        # low volatility: the European system fails its condition check at the
-        # first abscissa, and the message names that abscissa
-        cfg = tmp_path / "lowvol.cfg"
-        cfg.write_text(KOU_CONFIG.replace("sigma = 0.2", "sigma = 0.01").replace("L = 95", "L = 80"))
-        argv = ["price", str(cfg), "--t", "1", "--x", "100"]
+    def test_engine_error_reads_as_one_sentence(self, capsys, monkeypatch, config_path):
+        # a European system with an infinite entry fails its solve check at
+        # the first abscissa, and the message names that abscissa
+        assemble = pricing._assemble
+
+        def poisoned(sol, u):
+            Q, q, q0, qJ, cols = assemble(sol, u)
+            if sol.c_minus is None:  # the European system
+                Q[:, 1, 2] = math.inf
+            return Q, q, q0, qJ, cols
+
+        monkeypatch.setattr(pricing, "_assemble", poisoned)
+        pricing.solve_european_mr.cache_clear()
+        pricing.solve_american_mr.cache_clear()
+        argv = ["price", config_path, "--t", "1", "--x", "100"]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "('" not in err and "theta=" in err

@@ -4,6 +4,7 @@ boundary structure, premium split, seasoning, and the equation-residual oracle."
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,18 +13,22 @@ from hejdstep import (
     DownOutStepSpec,
     HejdModel,
     NoBoundaryError,
+    PathConfig,
     SingularSystemError,
     eval_american_mr,
     eval_eep_mr,
     eval_eep_split_mr,
     eval_european_mr,
+    mc_euro_step_price,
     oide_residual,
+    price_summary,
+    price_time_domain,
     seasoned_price,
     solve_american_mr,
     solve_european_mr,
 )
 from hejdstep import pricing
-from conftest import random_model, random_spec
+from conftest import random_model, random_spec, stehfest_weights
 
 THETA = 1.3
 
@@ -65,9 +70,8 @@ class TestEuropeanSystem:
 
     def test_branch_formulas_agree_at_seams(self, kou_euro, step_spec):
         # value and slope of the adjacent branch representations, evaluated
-        # exactly at the seams from the coefficient vectors
-        import numpy as np
-
+        # exactly at the seams from the coefficient vectors: a_plus anchored
+        # at L, b_plus at K, b_minus at L, c_minus at K
         ell, k = kou_euro.log_barrier, kou_euro.log_strike
         bL = kou_euro.roots_low.betas
         bM, gM = kou_euro.roots_mid.betas, kou_euro.roots_mid.gammas
@@ -75,16 +79,16 @@ class TestEuropeanSystem:
         th, K = kou_euro.theta, step_spec.strike
 
         val_lo = float(np.sum(a))
-        val_mid_at_l = float(np.sum(b) + np.sum(bm * np.exp(-gM * (k - ell))))
+        val_mid_at_l = float(np.sum(b * np.exp(-bM * (k - ell))) + np.sum(bm))
         assert val_lo == pytest.approx(val_mid_at_l, rel=1e-8)
         slope_lo = float(np.sum(a * bL))
-        slope_mid_at_l = float(np.sum(b * bM) + np.sum(bm * gM * np.exp(-gM * (k - ell))))
+        slope_mid_at_l = float(np.sum(b * bM * np.exp(-bM * (k - ell))) + np.sum(bm * gM))
         assert slope_lo == pytest.approx(slope_mid_at_l, rel=1e-7)
 
-        val_mid_at_k = float(np.sum(b * np.exp(bM * (k - ell))) + np.sum(bm))
+        val_mid_at_k = float(np.sum(b) + np.sum(bm * np.exp(gM * (k - ell))))
         val_hi = float(np.sum(c)) + th * K / (kou_euro.model.delta + th) - kou_euro.offset_inf
         assert val_mid_at_k == pytest.approx(val_hi, rel=1e-8)
-        slope_mid_at_k = float(np.sum(b * bM * np.exp(bM * (k - ell))) + np.sum(bm * gM))
+        slope_mid_at_k = float(np.sum(b * bM) + np.sum(bm * gM * np.exp(gM * (k - ell))))
         slope_hi = float(np.sum(c * gM)) + th * K / (kou_euro.model.delta + th)
         assert slope_mid_at_k == pytest.approx(slope_hi, rel=1e-7)
 
@@ -114,7 +118,8 @@ class TestEuropeanSystem:
         assert left == pytest.approx(right, rel=1e-7)
 
     def test_zero_barrier_equals_inert_barrier(self, kou_model, standard_spec):
-        # two distinct assembly paths must produce the same vanilla price
+        # the barrier's rows and columns left out or kept with an inert
+        # barrier must produce the same vanilla price
         vanilla = DownOutStepSpec(strike=100.0, barrier=0.0, knock_rate=0.0)
         s0 = solve_european_mr(kou_model, vanilla, THETA)
         s1 = solve_european_mr(kou_model, standard_spec, THETA)
@@ -306,6 +311,47 @@ class TestZeroBarrierPremiumSplit:
             assert total >= -1e-12
 
 
+
+LOW_VOL_KOU = dict(r=0.05, delta=0.07, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),
+                   down_weights=(0.3,), down_rates=(50.0,))
+LOW_VOL_CASES = [
+    pytest.param(HejdModel(sigma=0.01, **LOW_VOL_KOU), DownOutStepSpec(100.0, 80.0, -26.34), id="kou-0.01-L80"),
+    pytest.param(HejdModel(sigma=0.01, **LOW_VOL_KOU), DownOutStepSpec(100.0, 95.0, -26.34), id="kou-0.01-L95"),
+    pytest.param(HejdModel(sigma=0.02, **LOW_VOL_KOU), DownOutStepSpec(100.0, 80.0, -26.34), id="kou-0.02-L80"),
+    pytest.param(HejdModel(r=0.05, delta=0.07, sigma=0.005, lam=0.0), DownOutStepSpec(100.0, 50.0, -26.34),
+                 id="lambda-0-0.005-L50"),
+]
+
+
+def _rounding(x: float) -> float:
+    """What float evaluation of the order-7 Gaver-Stehfest sum may add to a
+    price of scale x: a few roundings of relative size eps per term."""
+    return 8.0 * sys.float_info.epsilon * float(sum(abs(z) for z in stehfest_weights(7))) * max(x, 1.0)
+
+
+class TestLowVolatility:
+    """The European system stays well conditioned at low volatility: its
+    beta terms are anchored at the strike and its gamma terms at the
+    barrier, so no entry grows like (K/L)^|root|."""
+
+    @pytest.mark.parametrize("model, spec", LOW_VOL_CASES)
+    def test_prices_with_consistent_quantities(self, model, spec):
+        # spots at and above the barrier, below the band of randomized
+        # exercise boundaries and in the exercise region
+        for x in (spec.barrier, 90.0, 100.0, 105.0, 110.0):
+            s = price_summary(model, spec, 1.0, x)
+            tol = _rounding(x)
+            assert s["euro"] <= s["amer"] + tol, x
+            assert s["amer"] >= max(x - spec.strike, 0.0) - tol, x
+            assert abs(s["eep"] - (s["eep_diffusion"] + s["eep_jump"])) <= tol, x
+
+    def test_european_price_against_mc(self):
+        model, spec = LOW_VOL_CASES[1].values
+        engine = price_time_domain(model, spec, 1.0, 100.0, "euro")
+        est = mc_euro_step_price(model, spec, 1.0, 100.0, PathConfig(n_paths=200_000, seed=0))
+        assert abs(est.value - engine) <= 3.0 * est.std_error, (est.value, est.std_error, engine)
+
+
 HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
                   up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
                   down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
@@ -385,7 +431,7 @@ def _gap_reference(sol, b_log: float, w: np.ndarray, cols) -> tuple[float, float
 
 def _stacked_scan(euro, pts):
     """(gaps, failure) of the boundary scan, all candidates in one stack."""
-    Q, q, _, _, cols = pricing._assemble_american(euro, pts)
+    Q, q, _, _, cols = pricing._assemble(euro, pts)
     (w,), _, _, failure = pricing._solve_dense(Q, [q], "american system")
     return pricing._smooth_fit_gap(euro, pts[: len(w)], w, cols)[0], failure
 
@@ -394,7 +440,7 @@ def _loop_scan(euro, pts):
     """Reference: one candidate at a time, stopping at the first failure."""
     vals = []
     for b in pts:
-        Q, q, _, _, cols = pricing._assemble_american(euro, np.array([b]))
+        Q, q, _, _, cols = pricing._assemble(euro, np.array([b]))
         (w,), _, _, failure = pricing._solve_dense(Q, [q], "american system")
         if failure is not None:
             return vals, failure
@@ -420,7 +466,7 @@ class TestStackedBoundaryScan:
         for theta in (0.05, math.log(2.0), 1.3, 9.7, 400.0):
             euro = solve_european_mr(model, spec, theta)
             pts = euro.log_strike + SCAN_GRID
-            Q, q, q0, qJ, cols = pricing._assemble_american(euro, pts)
+            Q, q, q0, qJ, cols = pricing._assemble(euro, pts)
             (w,), _, _ = pricing._solve_all(Q, [q], "american system")
             gap, scale = pricing._smooth_fit_gap(euro, pts, w, cols)
             for s, b in enumerate(pts):
@@ -434,7 +480,7 @@ class TestStackedBoundaryScan:
     def _poison(monkeypatch, bad: dict[float, str]) -> None:
         """Make the system of each candidate in ``bad`` fail the solve check
         named there, wherever the candidate sits in a stack."""
-        assemble = pricing._assemble_american
+        assemble = pricing._assemble
 
         def poisoned(sol, b_log):
             Q, q, q0, qJ, cols = assemble(sol, b_log)
@@ -447,7 +493,7 @@ class TestStackedBoundaryScan:
                     Q[s, :, 1] = Q[s, :, 0]
             return Q, q, q0, qJ, cols
 
-        monkeypatch.setattr(pricing, "_assemble_american", poisoned)
+        monkeypatch.setattr(pricing, "_assemble", poisoned)
 
     @pytest.mark.parametrize("poison", ["inf-matrix", "nan-rhs", "singular"])
     @pytest.mark.parametrize("j", [0, 7, 40])

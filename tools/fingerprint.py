@@ -4,10 +4,11 @@ Prints one line per value, ``<label> <float.hex()>``, then ``sha256 <hex>``
 over those lines.  Two trees that print the same hash return bit-identical
 outputs on:
 
-- ``price_summary`` of 28 contracts: 9 Kou reference contracts (knock rates
+- ``price_summary`` of 31 contracts: 9 Kou reference contracts (knock rates
   0, -26.34 and -5e7 at spots 90, 100 and 110), 3 Kou zero-barrier, 3
-  lambda = 0 step and 3 lambda = 0 zero-barrier contracts, and 8 seeded
-  random HEJD contracts;
+  lambda = 0 step and 3 lambda = 0 zero-barrier contracts, 3 low-volatility
+  Kou step contracts (sigma 0.01 with L = 80 and 95, sigma 0.02 with
+  L = 80, spot 100), and 8 seeded random HEJD contracts;
 - every cell of ``build_table(1)`` and ``build_table(2)``;
 - one seeded 10,000-path ``mc_euro_step_price`` on the Kou step contract.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +39,7 @@ BS = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0)
 STEP = DownOutStepSpec(100.0, 95.0, -26.34)
 ZERO_BARRIER = DownOutStepSpec(100.0, 0.0, 0.0)
 SPOTS = (90.0, 100.0, 110.0)
+LOW_VOL = ((0.01, 80.0), (0.01, 95.0), (0.02, 80.0))
 
 
 def _random_contract(rng: np.random.Generator) -> tuple[HejdModel, DownOutStepSpec, float, float]:
@@ -63,6 +66,8 @@ def contracts() -> list[tuple[str, HejdModel, DownOutStepSpec, float, float]]:
     out += [("kou zero-barrier", KOU, ZERO_BARRIER, 1.0, x) for x in SPOTS]
     out += [("lambda=0 step", BS, STEP, 1.0, x) for x in SPOTS]
     out += [("lambda=0 zero-barrier", BS, ZERO_BARRIER, 1.0, x) for x in SPOTS]
+    out += [(f"kou sigma={sigma:g} L={L:g}", replace(KOU, sigma=sigma), DownOutStepSpec(100.0, L, -26.34), 1.0, 100.0)
+            for sigma, L in LOW_VOL]
     rng = np.random.default_rng(2026)
     for i in range(8):
         out.append((f"random {i}",) + _random_contract(rng))
