@@ -95,11 +95,11 @@ def _rng(seed: int, stream: int, batch: int) -> np.random.Generator:
 
 
 def _draw_jumps(model: HejdModel, rng: np.random.Generator, n: int, horizon: float):
-    """Sorted-by-(path, time) jump epochs and marks for n paths on [0, horizon]."""
+    """Unsorted (times, sizes, path_ids) of the jumps of n paths on [0, horizon]."""
     counts = rng.poisson(model.lam * horizon, size=n)
     total = int(counts.sum())
     if total == 0:
-        return counts, np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     times = rng.random(total) * horizon
     weights = np.array(model.up_weights + model.down_weights)
     rates = np.array(model.up_rates + model.down_rates)
@@ -107,9 +107,7 @@ def _draw_jumps(model: HejdModel, rng: np.random.Generator, n: int, horizon: flo
     comp = np.minimum(comp, len(weights) - 1)
     magnitude = rng.standard_exponential(total) / rates[comp]
     sizes = np.where(comp < model.m, magnitude, -magnitude)
-    path_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-    order = np.lexsort((times, path_ids))
-    return counts, times[order], sizes[order], path_ids[order]
+    return times, sizes, np.repeat(np.arange(n, dtype=np.int64), counts)
 
 
 def _advance_jump_paths(
@@ -219,7 +217,7 @@ def _simulate_batch(
     X = np.zeros((n_rep, nb))
     occ = np.zeros((n_rep, nb))
     if model.lam > 0.0:
-        _, jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
+        jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
         jstep = np.minimum((jt / dt).astype(np.int64), n_steps - 1)
         order = np.lexsort((jt, jpaths, jstep))
         jt, js, jpaths, jstep = jt[order], js[order], jpaths[order], jstep[order]

@@ -58,7 +58,16 @@ _COND_CAP = 1e14
 _RESIDUAL_REL = 1e-9
 # a strike-to-barrier gap below this fraction of K is treated as L = K(1 - gap)
 _MIN_LOG_GAP = 1e-9
-_BOUNDARY_SCAN = 41
+# log-offset grids (lower, upper, points) of the boundary scan, tried in
+# order: from K*(1+1e-6) to K*e^5, expanded geometrically to K*e^20, then
+# shrunk toward the strike, where boundaries pinned against it (large theta)
+# sit
+_BOUNDARY_GRIDS = (
+    (math.log1p(1e-6), 5.0, 41),
+    (5.0, 10.0, 12),
+    (10.0, 20.0, 12),
+    (1e-12, math.log1p(1e-6), 25),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,72 +181,51 @@ def _check_residual(
 
 def _solve_dense(
     Q: np.ndarray, rhs: Sequence[np.ndarray], what: str
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, SingularSystemError | None]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Solve each system of the stack Q (S, n, n) for each right-hand side,
     an (S, n) array.  Each system gets one equilibration and one condition
     estimate, then one LU solve and one backward-error check per right-hand
     side; the stacked LAPACK calls round exactly as one call per system.
 
-    The systems are taken in order, and the first one that fails a check
-    (non-finite entries, condition estimate above 1e14, backward error above
-    1e-9) ends the run.  Returns the solutions of the systems before it (one
-    (S', n) array per right-hand side), their largest raw residuals, their
-    condition estimates, and the SingularSystemError of the failing system
-    (None when all S pass).
+    Returns the solutions (one (S, n) array per right-hand side), the
+    largest raw residual of each system and its condition estimate.  Raises
+    the SingularSystemError of the first system in the stack that fails a
+    check: non-finite entries, condition estimate above 1e14, or backward
+    error above 1e-9.
     """
-    n_ok, failure = len(Q), None
 
-    def stop_at_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
-        nonlocal n_ok, failure
+    def check(bad: np.ndarray, message: Callable[[int], str]) -> None:
         if bad.any():
-            n_ok = int(np.argmax(bad))
-            failure = SingularSystemError(message(n_ok))
+            s = int(np.argmax(bad))
+            if s:
+                # a system before s may fail a later check: it is the first
+                _solve_dense(Q[:s], [b[:s] for b in rhs], what)
+            raise SingularSystemError(message(s))
 
     finite = np.isfinite(Q).all(axis=(1, 2))
     for b in rhs:
         finite &= np.isfinite(b).all(axis=1)
-    stop_at_first(~finite, lambda s: f"{what}: non-finite entries in the assembled system")
-    Qs, row, col = _equilibrate(Q[:n_ok])
+    check(~finite, lambda s: f"{what}: non-finite entries in the assembled system")
+    Qs, row, col = _equilibrate(Q)
     try:
         cond = np.linalg.cond(Qs)
-    except np.linalg.LinAlgError:
-        # an SVD did not converge: estimate one system at a time up to it
-        cond = []
-        for A in Qs:
-            try:
-                cond.append(np.linalg.cond(A))
-            except np.linalg.LinAlgError as exc:
-                n_ok = len(cond)
-                failure = SingularSystemError(f"{what}: condition estimate failed ({exc})")
-                break
-        cond = np.asarray(cond)
-    stop_at_first(
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what}: condition estimate failed ({exc})") from exc
+    check(
         ~np.isfinite(cond) | (cond > _COND_CAP),
         lambda s: f"{what}: condition estimate {cond[s]:.3e} exceeds {_COND_CAP:.0e}",
     )
-    sols, resid = [], np.zeros(n_ok)
+    sols, resid = [], np.zeros(len(Q))
     for i, b in enumerate(rhs):
-        Qs, row, col, b = Qs[:n_ok], row[:n_ok], col[:n_ok], b[:n_ok]
         sol = np.linalg.solve(Qs, (b / row)[:, :, None])[:, :, 0] / col
-        backward, raw = _check_residual(Q[:n_ok], sol, b, row, col, Qs)
-        resid = np.maximum(resid[:n_ok], raw)
+        backward, raw = _check_residual(Q, sol, b, row, col, Qs)
+        resid = np.maximum(resid, raw)
         label = what if len(rhs) == 1 else f"{what} (right-hand side {i})"
-        stop_at_first(
+        check(
             backward > _RESIDUAL_REL,
             lambda s: f"{label}: backward error {backward[s]:.3e} above {_RESIDUAL_REL:.0e}",
         )
         sols.append(sol)
-    return [w[:n_ok] for w in sols], resid[:n_ok], cond[:n_ok], failure
-
-
-def _solve_all(
-    Q: np.ndarray, rhs: Sequence[np.ndarray], what: str
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """_solve_dense when every system of the stack must solve: raises the
-    SingularSystemError of the first one that fails."""
-    sols, resid, cond, failure = _solve_dense(Q, rhs, what)
-    if failure is not None:
-        raise failure
     return sols, resid, cond
 
 
@@ -407,7 +395,7 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
         residual_inf=math.nan, cond_estimate=math.nan,
     )
     Q, q, _, _, (cA, cB, cBm) = _assemble(frame, np.array([frame.log_strike]))
-    (v,), resid, cond = _solve_all(Q, [q], "european system")
+    (v,), resid, cond = _solve_dense(Q, [q], "european system")
     return replace(
         frame,
         a_plus=v[0, cA], b_plus=v[0, cB], b_minus=v[0, cBm], c_minus=v[0, cBm.stop:],
@@ -475,13 +463,15 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     early-exercise boundary.
 
     The boundary is the unique sign change of the smooth-fit slope gap on
-    (K, K*e^20].  A log-spaced scan brackets it: all its candidate premium
-    systems are assembled as one stack and solved by stacked LAPACK calls,
-    each system gated by the same condition and backward-error checks as a
-    single solve.  The scan ends at the first candidate that fails them
-    (the usable range stops there), and every sign change before it is
-    reported; more than one raises AmbiguousBoundaryError.  Brent's method
-    then pins the boundary inside the bracket, one candidate per step.
+    (K, K*e^20].  Log-spaced grids of candidates bracket it, tried in turn
+    until one shows a sign change: all candidate premium systems of a grid
+    are assembled as one stack and solved by stacked LAPACK calls, each
+    system gated by the same condition and backward-error checks as a
+    single solve, and a candidate that fails them raises
+    SingularSystemError.  More than one sign change on a grid raises
+    AmbiguousBoundaryError, none on any grid NoBoundaryError.  Brent's
+    method then pins the boundary inside the bracket, one candidate per
+    step.
     """
     if model.delta <= 0.0:
         raise NoBoundaryError(
@@ -490,57 +480,40 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     euro = solve_european_mr(model, spec, theta)
     k = euro.log_strike
 
-    def gaps(b_log: np.ndarray) -> tuple[np.ndarray, SingularSystemError | None]:
-        """Smooth-fit gaps of the leading candidates whose systems pass the
-        solve checks, and the failure of the first one that does not."""
+    def gap(b_log: np.ndarray) -> np.ndarray:
+        """Smooth-fit gaps at a stack of candidate boundaries."""
         Q, q, _, _, cols = _assemble(euro, b_log)
-        (w,), _, _, failure = _solve_dense(Q, [q], "american system")
-        return _smooth_fit_gap(euro, b_log[: len(w)], w, cols)[0], failure
+        (w,), _, _ = _solve_dense(Q, [q], "american system")
+        return _smooth_fit_gap(euro, b_log, w, cols)[0]
 
-    def gap(b_log: float) -> float:
-        g, failure = gaps(np.array([b_log]))
-        if failure is not None:
-            raise failure
-        return float(g[0])
-
-    def scan(offsets: np.ndarray) -> tuple[list[tuple[float, float]], bool]:
-        pts = k + offsets
-        vals, failure = gaps(pts)
-        found = [
+    for lo, hi, size in _BOUNDARY_GRIDS:
+        pts = k + np.geomspace(lo, hi, size)
+        vals = gap(pts)
+        brackets = [
             (pts[i], pts[i + 1])
-            for i in range(len(vals) - 1)
+            for i in range(size - 1)
             if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0
         ]
-        return found, failure is not None
-
-    # log-offset grid from K*(1+1e-6), upper end expanded geometrically to e^20
-    brackets, wall = scan(np.geomspace(math.log1p(1e-6), 5.0, _BOUNDARY_SCAN))
-    if not brackets and not wall:
-        for hi in (10.0, 20.0):
-            brackets, wall = scan(np.geomspace(hi / 2.0, hi, 12))
-            if brackets or wall:
-                break
-    if not brackets:
-        # boundaries pinned against the strike (large theta) sit below the
-        # nominal lower end; shrink it before giving up
-        brackets, _ = scan(np.geomspace(1e-12, math.log1p(1e-6), 25))
-    if not brackets:
+        if brackets:
+            break
+    else:
         raise NoBoundaryError(
             f"no smooth-fit sign change on (K, K*e^20) at theta={theta} "
-            + ("(scan truncated by ill conditioning) " if wall else "")
-            + "(degenerate early-exercise region)"
+            "(degenerate early-exercise region)"
         )
     if len(brackets) > 1:
         spot_br = [(math.exp(a), math.exp(b)) for a, b in brackets]
         raise AmbiguousBoundaryError(
             f"{len(brackets)} smooth-fit sign changes found: {spot_br}", spot_br
         )
-    b_log = float(brentq(gap, *brackets[0], xtol=1e-13, rtol=8.9e-16, maxiter=200))
+    b_log = float(brentq(
+        lambda b: float(gap(np.array([b]))[0]), *brackets[0], xtol=1e-13, rtol=8.9e-16, maxiter=200
+    ))
 
     # one matrix serves the total and both premium-split right-hand sides
     b = np.array([b_log])
     Q, q, q0, qJ, cols = _assemble(euro, b)
-    (w, w0, wJ), resid, cond = _solve_all(Q, [q, q0, qJ], "american system")
+    (w, w0, wJ), resid, cond = _solve_dense(Q, [q, q0, qJ], "american system")
     g, g_scale = _smooth_fit_gap(euro, b, w, cols)
     w, w0, wJ = w[0], w0[0], wJ[0]
     cD, cF, cFm = cols
@@ -605,23 +578,6 @@ def seasoned_price(raw_price: float, spec: DownOutStepSpec) -> float:
     return math.exp(spec.knock_rate * spec.seasoning) * raw_price
 
 
-def _branch_points(sol) -> tuple[list[float], float | None]:
-    pts: list[float] = []
-    if isinstance(sol, MrAmericanSolution):
-        euro = sol.european
-        if euro.log_barrier is not None:
-            pts.append(euro.barrier_eff)
-        pts.append(euro.spec.strike)
-        pts.append(sol.boundary)
-        return pts, sol.boundary
-    if isinstance(sol, MrEuropeanSolution):
-        if sol.log_barrier is not None:
-            pts.append(sol.barrier_eff)
-        pts.append(sol.spec.strike)
-        return pts, None
-    return pts, None
-
-
 def oide_residual(
     model: HejdModel,
     spec: DownOutStepSpec,
@@ -642,17 +598,17 @@ def oide_residual(
     """
     theta = float(theta)
     K = spec.strike
-    pts, boundary = _branch_points(sol)
-    if callable(sol) and not isinstance(sol, (MrEuropeanSolution, MrAmericanSolution)):
-        value: Callable[[float], float] = sol
-        pts = [spec.barrier, K] if spec.barrier > 0 else [K]
-        barrier_for_rate = spec.barrier
-    elif isinstance(sol, MrAmericanSolution):
+    # branch points: the barrier, the strike and an American boundary
+    boundary = None
+    if isinstance(sol, MrAmericanSolution):
         value = lambda s: eval_american_mr(sol, s)
-        barrier_for_rate = sol.european.barrier_eff
-    else:
+        barrier, boundary = sol.european.barrier_eff, sol.boundary
+    elif isinstance(sol, MrEuropeanSolution):
         value = lambda s: eval_european_mr(sol, s)
-        barrier_for_rate = sol.barrier_eff
+        barrier = sol.barrier_eff
+    else:
+        value, barrier = sol, spec.barrier
+    pts = ([barrier] if barrier > 0.0 else []) + [K] + ([boundary] if boundary is not None else [])
 
     margin = 1e-4 * K
     for x in x_grid:
@@ -671,17 +627,9 @@ def oide_residual(
         lx = math.log(x)
         log_margin = min(abs(lx - b) for b in log_breaks)
         step = min(base_cfg.fd_step, 0.25 * log_margin)
-        cfg_x = GeneratorConfig(
-            fd_step=step,
-            rel_tol=base_cfg.rel_tol,
-            abs_tol=base_cfg.abs_tol,
-            density_floor=base_cfg.density_floor,
-            breakpoints=log_breaks,
-            growth_pos=1.0,
-            growth_neg=0.0,
-        )
+        cfg_x = replace(base_cfg, fd_step=step, breakpoints=log_breaks, growth_pos=1.0, growth_neg=0.0)
         gen = generator_apply(model, g, lx, cfg_x)
-        rate = model.r + theta - (spec.knock_rate if x < barrier_for_rate else 0.0)
+        rate = model.r + theta - (spec.knock_rate if x < barrier else 0.0)
         resid = theta * max(x - K, 0.0) + gen - rate * value(x)
         worst = max(worst, abs(resid))
     return worst / (theta * K)

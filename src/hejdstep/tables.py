@@ -20,7 +20,6 @@ __all__ = [
     "RHO_STEP",
     "RHO_BARRIER",
     "BASE_PARAMS",
-    "BS_REFERENCE",
     "table_model",
     "table_spec",
     "build_table",
@@ -32,16 +31,6 @@ RHO_STEP = -26.34
 RHO_BARRIER = -5.0e7
 
 BASE_PARAMS = dict(r=0.05, delta=0.07, sigma=0.2, strike=100.0, barrier=95.0, horizon=1.0)
-
-# Black-Scholes reference values printed alongside the lambda ladder of
-# table 1 (standard/step/barrier, European then American).  The standard-call
-# European entry is internally inconsistent with that table's own relative
-# error row (6.698 vs an implied 6.598); it is kept verbatim and not asserted.
-BS_REFERENCE = {
-    "standard": (6.698, 6.885),
-    "step": (4.511, 4.745),
-    "barrier": (3.332, 3.529),
-}
 
 # table 1: Kou mixture p=0.7, xi=25, eta=50, S0=100, lambda ladder
 _TABLE1_LAMBDAS = (1.0, 0.1, 0.01, 0.001, 0.0001)

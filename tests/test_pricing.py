@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hejdstep import (
+    AmbiguousBoundaryError,
     DownOutStepSpec,
     HejdModel,
     NoBoundaryError,
@@ -430,22 +432,15 @@ def _gap_reference(sol, b_log: float, w: np.ndarray, cols) -> tuple[float, float
 
 
 def _stacked_scan(euro, pts):
-    """(gaps, failure) of the boundary scan, all candidates in one stack."""
+    """Smooth-fit gaps of the boundary scan, all candidates in one stack."""
     Q, q, _, _, cols = pricing._assemble(euro, pts)
-    (w,), _, _, failure = pricing._solve_dense(Q, [q], "american system")
-    return pricing._smooth_fit_gap(euro, pts[: len(w)], w, cols)[0], failure
+    (w,), _, _ = pricing._solve_dense(Q, [q], "american system")
+    return pricing._smooth_fit_gap(euro, pts, w, cols)[0]
 
 
 def _loop_scan(euro, pts):
-    """Reference: one candidate at a time, stopping at the first failure."""
-    vals = []
-    for b in pts:
-        Q, q, _, _, cols = pricing._assemble(euro, np.array([b]))
-        (w,), _, _, failure = pricing._solve_dense(Q, [q], "american system")
-        if failure is not None:
-            return vals, failure
-        vals.append(pricing._smooth_fit_gap(euro, np.array([b]), w, cols)[0][0])
-    return vals, None
+    """Reference: the same gaps, one candidate at a time."""
+    return [_stacked_scan(euro, np.array([b]))[0] for b in pts]
 
 
 class TestStackedBoundaryScan:
@@ -455,10 +450,7 @@ class TestStackedBoundaryScan:
         for theta in (0.05, math.log(2.0), 1.3, 9.7, 400.0):
             euro = solve_european_mr(model, spec, theta)
             pts = euro.log_strike + SCAN_GRID
-            vals, failure = _stacked_scan(euro, pts)
-            ref, ref_failure = _loop_scan(euro, pts)
-            assert failure is None and ref_failure is None
-            assert vals.tolist() == ref  # bit for bit
+            assert _stacked_scan(euro, pts).tolist() == _loop_scan(euro, pts)  # bit for bit
 
     @pytest.mark.parametrize("market, spec", SCAN_CASES)
     def test_assembly_equals_row_by_row_reference(self, market, spec, kou_model, bs_model):
@@ -467,7 +459,7 @@ class TestStackedBoundaryScan:
             euro = solve_european_mr(model, spec, theta)
             pts = euro.log_strike + SCAN_GRID
             Q, q, q0, qJ, cols = pricing._assemble(euro, pts)
-            (w,), _, _ = pricing._solve_all(Q, [q], "american system")
+            (w,), _, _ = pricing._solve_dense(Q, [q], "american system")
             gap, scale = pricing._smooth_fit_gap(euro, pts, w, cols)
             for s, b in enumerate(pts):
                 Qr, qr, q0r, qJr, cols_r = _assemble_reference(euro, float(b))
@@ -500,24 +492,81 @@ class TestStackedBoundaryScan:
     def test_forced_failure_stops_scan_at_candidate(self, monkeypatch, kou_model, step_spec, poison, j):
         euro = solve_european_mr(kou_model, step_spec, THETA)
         pts = euro.log_strike + SCAN_GRID
-        clean, _ = _stacked_scan(euro, pts)
+        check = "condition estimate" if poison == "singular" else "non-finite entries"
         # a later candidate failing an earlier check must not win
         self._poison(monkeypatch, {pts[-1]: "inf-matrix", pts[j]: poison})
-        vals, failure = _stacked_scan(euro, pts)
-        ref, ref_failure = _loop_scan(euro, pts)
-        assert vals.tolist() == ref == clean[:j].tolist()
-        assert isinstance(failure, SingularSystemError)
-        assert str(failure) == str(ref_failure)
+        with pytest.raises(SingularSystemError, match=check) as stacked:
+            _stacked_scan(euro, pts)
+        with pytest.raises(SingularSystemError) as loop:
+            _loop_scan(euro, pts)
+        assert str(stacked.value) == str(loop.value)
 
-    def test_wall_before_bracket_truncates_search(self, monkeypatch, kou_model, step_spec):
+    @pytest.mark.parametrize("where", [3, -1], ids=["before-bracket", "after-bracket"])
+    def test_failing_candidate_raises(self, monkeypatch, kou_model, step_spec, kou_amer, where):
+        # the Kou boundary at THETA brackets between these two candidates
         euro = solve_european_mr(kou_model, step_spec, THETA)
-        self._poison(monkeypatch, {(euro.log_strike + SCAN_GRID)[3]: "inf-matrix"})
-        with pytest.raises(NoBoundaryError, match="scan truncated by ill conditioning"):
+        pts = euro.log_strike + SCAN_GRID
+        assert pts[3] < kou_amer.log_boundary < pts[-1]
+        self._poison(monkeypatch, {pts[where]: "singular"})
+        with pytest.raises(SingularSystemError, match="american system: condition estimate"):
             solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
 
-    def test_wall_after_bracket_keeps_boundary(self, monkeypatch, kou_model, step_spec, kou_amer):
+
+class TestBoundarySearchExits:
+    """The scan's outcomes other than one bracket on its first grid."""
+
+    @staticmethod
+    def _record_stacks(monkeypatch) -> list[int]:
+        """Record the stack size of every system _assemble builds."""
+        sizes, assemble = [], pricing._assemble
+
+        def recorded(sol, b_log):
+            sizes.append(len(b_log))
+            return assemble(sol, b_log)
+
+        monkeypatch.setattr(pricing, "_assemble", recorded)
+        return sizes
+
+    def test_two_sign_changes_are_reported_in_spot_units(self, monkeypatch, kou_model, step_spec):
         euro = solve_european_mr(kou_model, step_spec, THETA)
-        self._poison(monkeypatch, {(euro.log_strike + SCAN_GRID)[-1]: "singular"})
-        sol = solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
-        assert sol.log_boundary == kou_amer.log_boundary
-        assert np.array_equal(sol.f_plus, kou_amer.f_plus)
+        roots = (0.1, 1.0)  # log offsets from the strike
+
+        def two_changes(sol, b_log, w, cols):
+            off = b_log - sol.log_strike
+            return (off - roots[0]) * (off - roots[1]), np.ones(len(b_log))
+
+        monkeypatch.setattr(pricing, "_smooth_fit_gap", two_changes)
+        with pytest.raises(AmbiguousBoundaryError, match="2 smooth-fit sign changes") as err:
+            solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+        # spot-unit brackets between neighbouring candidates of the first grid
+        spots = [math.exp(b) for b in euro.log_strike + SCAN_GRID]
+        pairs = list(zip(spots[:-1], spots[1:]))
+        brackets = err.value.brackets
+        assert len(brackets) == 2
+        for bracket, root in zip(brackets, roots):
+            assert bracket in pairs
+            assert bracket[0] < step_spec.strike * math.exp(root) < bracket[1]
+
+    def test_no_sign_change_tries_every_grid(self, monkeypatch, kou_model, step_spec):
+        solve_european_mr(kou_model, step_spec, THETA)  # cached: builds no system below
+        sizes = self._record_stacks(monkeypatch)
+        monkeypatch.setattr(pricing, "_smooth_fit_gap", lambda sol, b_log, w, cols: (np.ones(len(b_log)),) * 2)
+        with pytest.raises(NoBoundaryError, match="no smooth-fit sign change"):
+            solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+        assert sizes == [41, 12, 12, 25]
+
+    @pytest.mark.parametrize("delta, r, theta, stacks, upper", [
+        pytest.param(1e-4, 0.05, 1.0, [41, 12], 10.0, id="grid-5-10"),
+        pytest.param(1e-5, 0.2, 0.05, [41, 12, 12], 20.0, id="grid-10-20"),
+    ])
+    def test_expanded_grids_find_far_boundaries(self, monkeypatch, kou_model, step_spec,
+                                                 delta, r, theta, stacks, upper):
+        model = replace(kou_model, delta=delta, r=r)
+        solve_european_mr(model, step_spec, theta)
+        sizes = self._record_stacks(monkeypatch)
+        sol = solve_american_mr.__wrapped__(model, step_spec, theta)
+        K = step_spec.strike
+        assert K * math.exp(upper / 2.0) < sol.boundary <= K * math.exp(upper)
+        assert sol.smooth_fit_residual <= 1e-8
+        # the scan's stacks, then Brent's and the final solve's one-candidate ones
+        assert sizes[: len(stacks)] == stacks and set(sizes[len(stacks):]) == {1}

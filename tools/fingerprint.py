@@ -4,11 +4,13 @@ Prints one line per value, ``<label> <float.hex()>``, then ``sha256 <hex>``
 over those lines.  Two trees that print the same hash return bit-identical
 outputs on:
 
-- ``price_summary`` of 31 contracts: 9 Kou reference contracts (knock rates
+- ``price_summary`` of 32 contracts: 9 Kou reference contracts (knock rates
   0, -26.34 and -5e7 at spots 90, 100 and 110), 3 Kou zero-barrier, 3
   lambda = 0 step and 3 lambda = 0 zero-barrier contracts, 3 low-volatility
   Kou step contracts (sigma 0.01 with L = 80 and 95, sigma 0.02 with
-  L = 80, spot 100), and 8 seeded random HEJD contracts;
+  L = 80, spot 100), one Kou step contract with delta = 1e-4 (spot 100,
+  whose boundaries at all 14 abscissae lie beyond K*e^5, so the boundary
+  scan's expanded grid brackets them), and 8 seeded random HEJD contracts;
 - every cell of ``build_table(1)`` and ``build_table(2)``;
 - one seeded 10,000-path ``mc_euro_step_price`` on the Kou step contract.
 
@@ -68,6 +70,7 @@ def contracts() -> list[tuple[str, HejdModel, DownOutStepSpec, float, float]]:
     out += [("lambda=0 zero-barrier", BS, ZERO_BARRIER, 1.0, x) for x in SPOTS]
     out += [(f"kou sigma={sigma:g} L={L:g}", replace(KOU, sigma=sigma), DownOutStepSpec(100.0, L, -26.34), 1.0, 100.0)
             for sigma, L in LOW_VOL]
+    out.append(("kou delta=0.0001", replace(KOU, delta=1e-4), STEP, 1.0, 100.0))
     rng = np.random.default_rng(2026)
     for i in range(8):
         out.append((f"random {i}",) + _random_contract(rng))
