@@ -35,6 +35,11 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 _POLE_REL_TOL = 1e-14
+# generator_apply's jump integral: quadrature tolerances, and the component
+# density below which its tail is truncated
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-12
+_DENSITY_FLOOR = 1e-16
 
 
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
@@ -281,13 +286,10 @@ class GeneratorConfig:
     to the adaptive quadrature.  ``growth_pos``/``growth_neg`` bound the
     growth of |V|: |V(x+y)| <= C e^{growth_pos*y} as y -> +inf and
     |V(x-u)| <= C e^{growth_neg*u} as u -> +inf; they control the analytic
-    truncation of the jump integral together with ``density_floor``.
+    truncation of the jump integral.
     """
 
     fd_step: float = 1e-4
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    density_floor: float = 1e-16
     breakpoints: tuple[float, ...] = ()
     growth_pos: float = 1.0
     growth_neg: float = 0.0
@@ -298,7 +300,6 @@ def _quad_component(
     lo: float,
     hi: float,
     points: list[float],
-    cfg: GeneratorConfig,
 ) -> float:
     result = integrate.quad(
         integrand,
@@ -306,14 +307,14 @@ def _quad_component(
         hi,
         points=points or None,
         limit=200,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
+        epsabs=_QUAD_ABS_TOL,
+        epsrel=_QUAD_REL_TOL,
         full_output=1,
     )
     value, abserr = result[0], result[1]
     if len(result) > 3:  # warning message present
         raise QuadratureError(f"jump integral did not converge: {result[3]}")
-    if abserr > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if abserr > 100.0 * max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(value)):
         raise QuadratureError(
             f"jump integral error estimate {abserr:.3e} above tolerance for value {value:.6e}"
         )
@@ -332,7 +333,7 @@ def generator_apply(
     derivatives by five-point central differences and the jump integral by
     adaptive quadrature, one mixture component at a time, truncated where the
     component density (adjusted for the stated growth of V) falls below
-    ``density_floor``.
+    1e-16.
     """
     cfg = cfg or GeneratorConfig()
     x = float(x)
@@ -346,7 +347,7 @@ def generator_apply(
     if model.lam == 0.0:
         return out
 
-    log_floor = -math.log(cfg.density_floor)
+    log_floor = -math.log(_DENSITY_FLOOR)
     jump = 0.0
     for p_i, xi_i in zip(model.up_weights, model.up_rates):
         decay = xi_i - cfg.growth_pos
@@ -357,7 +358,7 @@ def generator_apply(
         y_max = log_floor / min(xi_i, decay)
         pts = sorted(b - x for b in cfg.breakpoints if 0.0 < b - x < y_max)
         integrand = lambda y, _xi=xi_i: (V(x + y) - v0) * _xi * math.exp(-_xi * y)
-        val = _quad_component(integrand, 0.0, y_max, pts, cfg)
+        val = _quad_component(integrand, 0.0, y_max, pts)
         val -= v0 * math.exp(-xi_i * y_max)  # exact tail of the -V(x) part
         jump += p_i * val
     for q_j, eta_j in zip(model.down_weights, model.down_rates):
@@ -369,7 +370,7 @@ def generator_apply(
         y_min = -log_floor / min(eta_j, decay)
         pts = sorted(b - x for b in cfg.breakpoints if y_min < b - x < 0.0)
         integrand = lambda y, _eta=eta_j: (V(x + y) - v0) * _eta * math.exp(_eta * y)
-        val = _quad_component(integrand, y_min, 0.0, pts, cfg)
+        val = _quad_component(integrand, y_min, 0.0, pts)
         val -= v0 * math.exp(eta_j * y_min)
         jump += q_j * val
     return out + model.lam * jump

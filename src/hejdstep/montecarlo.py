@@ -9,9 +9,8 @@ merged grid.  Randomness comes from counter-based Philox streams keyed by
 (seed, stream, batch), so results are bit-reproducible for a fixed
 configuration regardless of batch scheduling.
 
-Batches run on threads: the calling thread and workers - 1 helper threads
-take batch indices from a shared counter, with workers = min(batches, CPUs
-in the process's affinity mask, else os.cpu_count()).  One batch or one CPU
+Batches run on a thread pool of workers = min(batches, CPUs in the
+process's affinity mask, else os.cpu_count()) threads.  One batch or one CPU
 runs the batches in order on the calling thread.  numpy releases the
 interpreter lock in the normal fills and array arithmetic that do the work.
 """
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,40 +163,19 @@ def _usable_cpus() -> int:
 def _run_batches(run_batch: Callable[[int], None], n_batches: int) -> None:
     """Call run_batch(b) once for every b in range(n_batches).
 
-    The calling thread and workers - 1 helper threads pull batch indices
-    from a shared counter until none are left, workers = min(n_batches,
-    usable CPUs).  With one worker no thread starts and the batches run in
-    order on the caller.  The helpers are joined before return; the first
-    exception any worker raised is re-raised here.
+    With workers = min(n_batches, usable CPUs) above one, the batches run on
+    a pool of that many threads, shut down before return; the exception of
+    the first failing batch in batch order is re-raised here.  With one
+    worker no thread starts and the batches run in order on the caller.
     """
     workers = min(n_batches, _usable_cpus())
-    pending = iter(range(n_batches))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        while not errors:
-            with lock:
-                b = next(pending, None)
-            if b is None:
-                return
-            try:
-                run_batch(b)
-            except BaseException as exc:  # re-raised in the calling thread
-                errors.append(exc)
-                return
-
-    helpers = [threading.Thread(target=work, name=f"hejdstep-mc-{i}", daemon=True)
-               for i in range(workers - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+    if workers <= 1:
+        for b in range(n_batches):
+            run_batch(b)
+        return
+    with ThreadPoolExecutor(workers, thread_name_prefix="hejdstep-mc") as pool:
+        for _ in pool.map(run_batch, range(n_batches)):
+            pass
 
 
 def _simulate_batch(

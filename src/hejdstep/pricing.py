@@ -74,12 +74,13 @@ _BOUNDARY_GRIDS = (
 class MrEuropeanSolution:
     """Piecewise-exponential representation of the randomized European price.
 
-    Below the barrier the price is sum_s a_plus[s] (x/L)^{betas_low[s]}, on
-    [L, K] it is sum_s b_plus[s] (x/K)^{betas_mid[s]} + sum_u b_minus[u]
-    (x/L)^{gammas[u]}, and above K it is sum_u c_minus[u] (x/K)^{gammas[u]}
-    + slope_inf * x - offset_inf.  Each family is anchored where it is
-    largest: b_plus at K and b_minus at L.  With barrier == 0 the lower
-    region is empty and the gamma terms below the strike vanish.
+    coef holds the solved coefficients in _assemble's column order and cols
+    its (cD, cF, cFm) slices; the tail's gamma coefficients follow cFm.
+    Below the barrier the price is sum_s coef[cD][s] (x/L)^{betas_low[s]},
+    on [L, K] it is sum_s coef[cF][s] (x/K)^{betas_mid[s]} + sum_u
+    coef[cFm][u] (x/L)^{gammas[u]}, and above K it is sum_u c_minus[u]
+    (x/K)^{gammas[u]} + slope_inf * x - offset_inf.  Each family is anchored
+    where it is largest.  With barrier == 0 the cD and cFm slices are empty.
     """
 
     model: HejdModel
@@ -87,10 +88,8 @@ class MrEuropeanSolution:
     theta: float
     roots_low: RootSet | None
     roots_mid: RootSet
-    a_plus: np.ndarray
-    b_plus: np.ndarray
-    b_minus: np.ndarray
-    c_minus: np.ndarray
+    coef: np.ndarray | None
+    cols: tuple[slice, slice, slice] | None
     barrier_eff: float
     log_barrier: float | None
     log_strike: float
@@ -99,31 +98,29 @@ class MrEuropeanSolution:
     residual_inf: float
     cond_estimate: float
 
+    @property
+    def c_minus(self) -> np.ndarray:
+        """Gamma coefficients of the tail above K."""
+        return self.coef[self.cols[2].stop:]
+
 
 @dataclass(frozen=True, eq=False)
 class MrAmericanSolution:
     """Randomized American solution: free boundary, premium coefficients and
     their diffusion/jump split (same matrix, split right-hand sides).
 
-    Between the barrier and the boundary the premium is
-    sum_s f_plus[s] (x/b)^{betas_mid[s]} + sum_u f_minus[u] (x/L)^{gammas[u]}
-    (each family anchored where it is largest); below the barrier it is
-    sum_s d_plus[s] (x/L)^{betas_low[s]}; at and above b it equals the
-    exercise gap x - K - Euro(x).
+    coef has rows total, diffusion and jump, each in the column order of
+    european.cols.  Between the barrier and the boundary b the premium is
+    sum_s coef[cF][s] (x/b)^{betas_mid[s]} + sum_u coef[cFm][u]
+    (x/L)^{gammas[u]} (each family anchored where it is largest); below the
+    barrier it is sum_s coef[cD][s] (x/L)^{betas_low[s]}; at and above b it
+    equals the exercise gap x - K - Euro(x).
     """
 
     european: MrEuropeanSolution
     boundary: float
     log_boundary: float
-    d_plus: np.ndarray
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    d0_plus: np.ndarray
-    f0_plus: np.ndarray
-    f0_minus: np.ndarray
-    dj_plus: np.ndarray
-    fj_plus: np.ndarray
-    fj_minus: np.ndarray
+    coef: np.ndarray
     smooth_fit_residual: float
     residual_inf: float
     cond_estimate: float
@@ -231,7 +228,7 @@ def _solve_dense(
 
 def _assemble(
     sol: MrEuropeanSolution, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[slice]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[slice, slice, slice]]:
     """Systems of the European price or the American premium at a stack of
     S upper log-anchors u.
 
@@ -244,13 +241,13 @@ def _assemble(
 
     - the American premium, when sol is solved: U is a candidate boundary
       and above it the premium is the known exercise gap x - K - Euro(x);
-    - the European price, when sol.c_minus is None: U = K, and the n + 1
+    - the European price, when sol.coef is None: U = K, and the n + 1
       gamma coefficients above K are unknowns too.  Their columns follow
       the corridor's, closed by the down-jump residuals seen from above K
       and slope continuity at K.
 
     With a zero barrier the D and Fm columns and the barrier's rows are left
-    out.  Returns (Q, q_total, q_diffusion, q_jump, [cD, cF, cFm]): Q has
+    out.  Returns (Q, q_total, q_diffusion, q_jump, (cD, cF, cFm)): Q has
     shape (S, size, size) and each right-hand side (S, size).  The diffusion
     right-hand side carries the value (and slope) rows at U, the jump one
     the jump-integral rows, and they sum to q_total.  Exponentials of a
@@ -270,7 +267,7 @@ def _assemble(
     mm, n = model.m, model.n
     S = len(u)
     barrier = sol.log_barrier is not None
-    free = sol.c_minus is None
+    free = sol.coef is None
     e_tail = np.exp(gM * (u - sol.log_strike)[:, None])  # tail gamma terms at U
     cD = slice(0, mm + 1 if barrier else 0)
     cF = slice(cD.stop, cD.stop + mm + 1)
@@ -320,7 +317,7 @@ def _assemble(
     Q[:, v_U, cF] = 1.0
     q0[:, v_U] = n_d / (d + theta) - n_r / (r + theta) - known_value
     if not barrier:
-        return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
+        return Q, q0 + qJ, q0, qJ, (cD, cF, cFm)
 
     bL = sol.roots_low.betas
     bl = u - sol.log_barrier
@@ -360,7 +357,7 @@ def _assemble(
         Q[:, r_hi, cF] = (1.0 - e_dn[:, :, None] * e_beta[:, None, :]) / (eta + bM)
         Q[:, r_hi, cFm] = (e_gamma[:, None, :] - e_dn[:, :, None]) / (eta + gM)
         Q[:, s_U, cFm] = gM * e_gamma
-    return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
+    return Q, q0 + qJ, q0, qJ, (cD, cF, cFm)
 
 
 @lru_cache(maxsize=4096)
@@ -368,9 +365,9 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     """Coefficients of the maturity-randomized European down-and-out step call.
 
     Assembles the dense (2m+2n+4)-square system (or the reduced (m+n+2) one
-    when the barrier is 0) with _assemble at the upper anchor K, so b_plus
-    is anchored at K and b_minus at L, and solves it by LU with partial
-    pivoting.  Nothing is clamped, ill conditioning raises
+    when the barrier is 0) with _assemble at the upper anchor K, so the beta
+    terms are anchored at K and the gamma terms at L, and solves it by LU
+    with partial pivoting.  Nothing is clamped, ill conditioning raises
     SingularSystemError.
     """
     theta = float(theta)
@@ -389,37 +386,30 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     frame = MrEuropeanSolution(
         model=model, spec=spec, theta=theta,
         roots_low=roots_low, roots_mid=roots_mid,
-        a_plus=None, b_plus=None, b_minus=None, c_minus=None,
+        coef=None, cols=None,
         barrier_eff=barrier_eff, log_barrier=ell, log_strike=math.log(spec.strike),
         slope_inf=theta / (d + theta), offset_inf=theta * spec.strike / (r + theta),
         residual_inf=math.nan, cond_estimate=math.nan,
     )
-    Q, q, _, _, (cA, cB, cBm) = _assemble(frame, np.array([frame.log_strike]))
+    Q, q, _, _, cols = _assemble(frame, np.array([frame.log_strike]))
     (v,), resid, cond = _solve_dense(Q, [q], "european system")
     return replace(
-        frame,
-        a_plus=v[0, cA], b_plus=v[0, cB], b_minus=v[0, cBm], c_minus=v[0, cBm.stop:],
+        frame, coef=v[0], cols=cols,
         residual_inf=float(resid[0]), cond_estimate=float(cond[0]),
     )
 
 
-def _eval_corridor(
-    euro: MrEuropeanSolution,
-    low: np.ndarray,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    log_upper: float,
-    x: float,
-) -> float:
-    """Value at spot 0 < x <= upper anchor of a solution assembled by
-    _assemble: low below the barrier, beta anchored at log_upper and gamma
-    at the barrier."""
+def _eval_corridor(euro: MrEuropeanSolution, w: np.ndarray, log_upper: float, x: float) -> float:
+    """Value at spot 0 < x <= upper anchor of a solution w assembled by
+    _assemble, columns euro.cols: the beta terms anchored at log_upper, the
+    low-region and gamma terms at the barrier."""
+    cD, cF, cFm = euro.cols
     lx = math.log(x)
     if euro.log_barrier is not None and x < euro.barrier_eff:
-        return float(np.sum(low * np.exp(euro.roots_low.betas * (lx - euro.log_barrier))))
-    out = float(np.sum(beta * np.exp(euro.roots_mid.betas * (lx - log_upper))))
-    if gamma.size:
-        out += float(np.sum(gamma * np.exp(euro.roots_mid.gammas * (lx - euro.log_barrier))))
+        return float(np.sum(w[cD] * np.exp(euro.roots_low.betas * (lx - euro.log_barrier))))
+    out = float(np.sum(w[cF] * np.exp(euro.roots_mid.betas * (lx - log_upper))))
+    if euro.log_barrier is not None:
+        out += float(np.sum(w[cFm] * np.exp(euro.roots_mid.gammas * (lx - euro.log_barrier))))
     return out
 
 
@@ -431,22 +421,22 @@ def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
     if x == 0.0:
         return 0.0
     if x <= sol.spec.strike:
-        return _eval_corridor(sol, sol.a_plus, sol.b_plus, sol.b_minus, sol.log_strike, x)
+        return _eval_corridor(sol, sol.coef, sol.log_strike, x)
     lx = math.log(x)
     tail = float(np.sum(sol.c_minus * np.exp(sol.roots_mid.gammas * (lx - sol.log_strike))))
     return tail + sol.slope_inf * x - sol.offset_inf
 
 
 def _smooth_fit_gap(
-    sol: MrEuropeanSolution, b_log: np.ndarray, w: np.ndarray, cols
+    sol: MrEuropeanSolution, b_log: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slope mismatch at each candidate boundary b_log[s] of the premium
-    solved in w[s], and its natural scale."""
+    solved in w[s] (columns sol.cols), and its natural scale."""
     model, theta = sol.model, sol.theta
     d = model.delta
     bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
     eb = np.array([math.exp(b) for b in b_log])
-    _, cF, cFm = cols
+    _, cF, cFm = sol.cols
     lhs = (w[:, cF] * bM).sum(axis=1)
     if sol.log_barrier is not None:
         bl = (b_log - sol.log_barrier)[:, None]
@@ -482,9 +472,9 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
 
     def gap(b_log: np.ndarray) -> np.ndarray:
         """Smooth-fit gaps at a stack of candidate boundaries."""
-        Q, q, _, _, cols = _assemble(euro, b_log)
+        Q, q, _, _, _ = _assemble(euro, b_log)
         (w,), _, _ = _solve_dense(Q, [q], "american system")
-        return _smooth_fit_gap(euro, b_log, w, cols)[0]
+        return _smooth_fit_gap(euro, b_log, w)[0]
 
     for lo, hi, size in _BOUNDARY_GRIDS:
         pts = k + np.geomspace(lo, hi, size)
@@ -512,18 +502,14 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
 
     # one matrix serves the total and both premium-split right-hand sides
     b = np.array([b_log])
-    Q, q, q0, qJ, cols = _assemble(euro, b)
+    Q, q, q0, qJ, _ = _assemble(euro, b)
     (w, w0, wJ), resid, cond = _solve_dense(Q, [q, q0, qJ], "american system")
-    g, g_scale = _smooth_fit_gap(euro, b, w, cols)
-    w, w0, wJ = w[0], w0[0], wJ[0]
-    cD, cF, cFm = cols
+    g, g_scale = _smooth_fit_gap(euro, b, w)
     return MrAmericanSolution(
         european=euro,
         boundary=math.exp(b_log),
         log_boundary=b_log,
-        d_plus=w[cD], f_plus=w[cF], f_minus=w[cFm],
-        d0_plus=w0[cD], f0_plus=w0[cF], f0_minus=w0[cFm],
-        dj_plus=wJ[cD], fj_plus=wJ[cF], fj_minus=wJ[cFm],
+        coef=np.concatenate([w, w0, wJ]),
         smooth_fit_residual=float(abs(g[0]) / g_scale[0]),
         residual_inf=float(resid[0]),
         cond_estimate=float(cond[0]),
@@ -539,7 +525,7 @@ def eval_eep_mr(sol: MrAmericanSolution, x: float) -> float:
         return 0.0
     if x >= sol.boundary:
         return x - sol.european.spec.strike - eval_european_mr(sol.european, x)
-    return _eval_corridor(sol.european, sol.d_plus, sol.f_plus, sol.f_minus, sol.log_boundary, x)
+    return _eval_corridor(sol.european, sol.coef[0], sol.log_boundary, x)
 
 
 def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, float]:
@@ -562,9 +548,7 @@ def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, 
     if x > sol.boundary:
         return total, 0.0, gap_at(x)
     euro, b = sol.european, sol.log_boundary
-    diff = _eval_corridor(euro, sol.d0_plus, sol.f0_plus, sol.f0_minus, b, x)
-    jump = _eval_corridor(euro, sol.dj_plus, sol.fj_plus, sol.fj_minus, b, x)
-    return total, diff, jump
+    return total, _eval_corridor(euro, sol.coef[1], b, x), _eval_corridor(euro, sol.coef[2], b, x)
 
 
 def eval_american_mr(sol: MrAmericanSolution, x: float) -> float:
@@ -584,7 +568,6 @@ def oide_residual(
     theta: float,
     sol,
     x_grid: Sequence[float],
-    cfg: GeneratorConfig | None = None,
 ) -> float:
     """Max normalized residual of the randomized pricing equation on a grid.
 
@@ -619,15 +602,14 @@ def oide_residual(
         if x <= 0.0:
             raise ValueError("grid points must be positive")
 
-    base_cfg = cfg or GeneratorConfig()
     log_breaks = tuple(math.log(p) for p in pts if p > 0.0)
     worst = 0.0
     g = lambda l: value(math.exp(l))
     for x in x_grid:
         lx = math.log(x)
         log_margin = min(abs(lx - b) for b in log_breaks)
-        step = min(base_cfg.fd_step, 0.25 * log_margin)
-        cfg_x = replace(base_cfg, fd_step=step, breakpoints=log_breaks, growth_pos=1.0, growth_neg=0.0)
+        step = min(GeneratorConfig.fd_step, 0.25 * log_margin)
+        cfg_x = GeneratorConfig(fd_step=step, breakpoints=log_breaks, growth_pos=1.0, growth_neg=0.0)
         gen = generator_apply(model, g, lx, cfg_x)
         rate = model.r + theta - (spec.knock_rate if x < barrier else 0.0)
         resid = theta * max(x - K, 0.0) + gen - rate * value(x)

@@ -204,9 +204,7 @@ def test_criterion_8_split_additivity_and_boundary_rows():
     boundary_ok = True
     for theta in (0.8, 1.5, 4.0):
         sol = solve_american_mr(model, STEP, theta)
-        w = np.concatenate([sol.d_plus, sol.f_plus, sol.f_minus])
-        w0 = np.concatenate([sol.d0_plus, sol.f0_plus, sol.f0_minus])
-        wj = np.concatenate([sol.dj_plus, sol.fj_plus, sol.fj_minus])
+        w, w0, wj = sol.coef
         worst_add = max(worst_add, float(np.max(np.abs(w - (w0 + wj)))))
         worst_smooth = max(worst_smooth, sol.smooth_fit_residual)
         b = sol.boundary

@@ -144,7 +144,7 @@ class TestErrors:
 
         def poisoned(sol, u):
             Q, q, q0, qJ, cols = assemble(sol, u)
-            if sol.c_minus is None:  # the European system
+            if sol.coef is None:  # the European system
                 Q[:, 1, 2] = math.inf
             return Q, q, q0, qJ, cols
 

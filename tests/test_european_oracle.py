@@ -152,7 +152,7 @@ def engine_error_bound(sol, x: float, terms: list[tuple[float, float, float]]) -
     eps * |root| * (|log x| + |anchor|) from the rounded logarithms and a
     few eps per product and sum.
     """
-    coef = np.concatenate([sol.a_plus, sol.b_plus, sol.b_minus, sol.c_minus])
+    coef = sol.coef
     size = coef.size
     data = np.abs(coef).sum() + sol.slope_inf * sol.spec.strike + sol.offset_inf
     solve = size**2 * sol.cond_estimate * EPS * data

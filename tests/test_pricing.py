@@ -72,12 +72,15 @@ class TestEuropeanSystem:
 
     def test_branch_formulas_agree_at_seams(self, kou_euro, step_spec):
         # value and slope of the adjacent branch representations, evaluated
-        # exactly at the seams from the coefficient vectors: a_plus anchored
-        # at L, b_plus at K, b_minus at L, c_minus at K
+        # exactly at the seams from the coefficient vector: the low-region
+        # terms anchored at L, the corridor's beta terms at K and gamma terms
+        # at L, the tail's gamma terms at K
         ell, k = kou_euro.log_barrier, kou_euro.log_strike
         bL = kou_euro.roots_low.betas
         bM, gM = kou_euro.roots_mid.betas, kou_euro.roots_mid.gammas
-        a, b, bm, c = kou_euro.a_plus, kou_euro.b_plus, kou_euro.b_minus, kou_euro.c_minus
+        cD, cF, cFm = kou_euro.cols
+        coef = kou_euro.coef
+        a, b, bm, c = coef[cD], coef[cF], coef[cFm], coef[cFm.stop:]
         th, K = kou_euro.theta, step_spec.strike
 
         val_lo = float(np.sum(a))
@@ -183,9 +186,8 @@ class TestAmericanSystem:
         assert eval_eep_mr(kou_amer, b * (1 - 1e-10)) == pytest.approx(gap, rel=1e-8)
 
     def test_split_additivity_of_coefficients(self, kou_amer):
-        np.testing.assert_allclose(kou_amer.d0_plus + kou_amer.dj_plus, kou_amer.d_plus, atol=1e-9)
-        np.testing.assert_allclose(kou_amer.f0_plus + kou_amer.fj_plus, kou_amer.f_plus, atol=1e-9)
-        np.testing.assert_allclose(kou_amer.f0_minus + kou_amer.fj_minus, kou_amer.f_minus, atol=1e-9)
+        total, diffusion, jump = kou_amer.coef
+        np.testing.assert_allclose(diffusion + jump, total, atol=1e-9)
 
     def test_split_additivity_of_values(self, kou_amer):
         for x in np.linspace(2.0, 200.0, 25):
@@ -306,7 +308,8 @@ class TestZeroBarrierPremiumSplit:
     def test_split_pipeline_without_barrier(self, kou_model):
         vanilla = DownOutStepSpec(strike=100.0, barrier=0.0, knock_rate=0.0)
         sol = solve_american_mr(kou_model, vanilla, THETA)
-        assert sol.d_plus.size == 0 and sol.f_minus.size == 0
+        cD, _, cFm = sol.european.cols
+        assert sol.coef[:, cD].size == 0 and sol.coef[:, cFm].size == 0
         for x in (60.0, 95.0, sol.boundary * 0.98, sol.boundary * 1.3):
             total, diff, jump = eval_eep_split_mr(sol, x)
             assert diff + jump == pytest.approx(total, rel=1e-9, abs=1e-12)
@@ -386,7 +389,7 @@ def _assemble_reference(sol, b_log: float):
                      + r * K / (xi[i] * (r + theta)) - d * eb / ((xi[i] - 1.0) * (d + theta)))
         Q[mm, :] = 1.0
         q0[mm] = d * eb / (d + theta) - r * K / (r + theta) - cg
-        return Q, q0 + qJ, q0, qJ, [slice(0, 0), slice(0, size), slice(size, size)]
+        return Q, q0 + qJ, q0, qJ, (slice(0, 0), slice(0, size), slice(size, size))
     bL, bl = sol.roots_low.betas, b_log - sol.log_barrier
     size = 2 * mm + n + 3
     Q, q0, qJ = np.zeros((size, size)), np.zeros(size), np.zeros(size)
@@ -412,15 +415,15 @@ def _assemble_reference(sol, b_log: float):
     Q[row + 1, cF], Q[row + 1, cFm] = 1.0, np.exp(gM * bl)
     q0[row + 1] = d * eb / (d + theta) - r * K / (r + theta) - cg
     Q[row + 2, cD], Q[row + 2, cF], Q[row + 2, cFm] = bL, -bM * np.exp(-bM * bl), -gM
-    return Q, q0 + qJ, q0, qJ, [cD, cF, cFm]
+    return Q, q0 + qJ, q0, qJ, (cD, cF, cFm)
 
 
-def _gap_reference(sol, b_log: float, w: np.ndarray, cols) -> tuple[float, float]:
+def _gap_reference(sol, b_log: float, w: np.ndarray) -> tuple[float, float]:
     """One-candidate smooth-fit gap and its scale (reference)."""
     d, theta = sol.model.delta, sol.theta
     bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
     eb = math.exp(b_log)
-    _, cF, cFm = cols
+    _, cF, cFm = sol.cols
     if sol.log_barrier is None:
         lhs = float(np.sum(w[cF] * bM))
     else:
@@ -433,9 +436,9 @@ def _gap_reference(sol, b_log: float, w: np.ndarray, cols) -> tuple[float, float
 
 def _stacked_scan(euro, pts):
     """Smooth-fit gaps of the boundary scan, all candidates in one stack."""
-    Q, q, _, _, cols = pricing._assemble(euro, pts)
+    Q, q, _, _, _ = pricing._assemble(euro, pts)
     (w,), _, _ = pricing._solve_dense(Q, [q], "american system")
-    return pricing._smooth_fit_gap(euro, pts, w, cols)[0]
+    return pricing._smooth_fit_gap(euro, pts, w)[0]
 
 
 def _loop_scan(euro, pts):
@@ -460,13 +463,13 @@ class TestStackedBoundaryScan:
             pts = euro.log_strike + SCAN_GRID
             Q, q, q0, qJ, cols = pricing._assemble(euro, pts)
             (w,), _, _ = pricing._solve_dense(Q, [q], "american system")
-            gap, scale = pricing._smooth_fit_gap(euro, pts, w, cols)
+            gap, scale = pricing._smooth_fit_gap(euro, pts, w)
             for s, b in enumerate(pts):
                 Qr, qr, q0r, qJr, cols_r = _assemble_reference(euro, float(b))
-                assert cols == cols_r
+                assert cols == cols_r == euro.cols  # _smooth_fit_gap slices by euro.cols
                 for got, want in ((Q[s], Qr), (q[s], qr), (q0[s], q0r), (qJ[s], qJr)):
                     assert np.array_equal(got, want), (theta, s)
-                assert (gap[s], scale[s]) == _gap_reference(euro, float(b), w[s], cols), (theta, s)
+                assert (gap[s], scale[s]) == _gap_reference(euro, float(b), w[s]), (theta, s)
 
     @staticmethod
     def _poison(monkeypatch, bad: dict[float, str]) -> None:
@@ -531,7 +534,7 @@ class TestBoundarySearchExits:
         euro = solve_european_mr(kou_model, step_spec, THETA)
         roots = (0.1, 1.0)  # log offsets from the strike
 
-        def two_changes(sol, b_log, w, cols):
+        def two_changes(sol, b_log, w):
             off = b_log - sol.log_strike
             return (off - roots[0]) * (off - roots[1]), np.ones(len(b_log))
 
@@ -550,7 +553,7 @@ class TestBoundarySearchExits:
     def test_no_sign_change_tries_every_grid(self, monkeypatch, kou_model, step_spec):
         solve_european_mr(kou_model, step_spec, THETA)  # cached: builds no system below
         sizes = self._record_stacks(monkeypatch)
-        monkeypatch.setattr(pricing, "_smooth_fit_gap", lambda sol, b_log, w, cols: (np.ones(len(b_log)),) * 2)
+        monkeypatch.setattr(pricing, "_smooth_fit_gap", lambda sol, b_log, w: (np.ones(len(b_log)),) * 2)
         with pytest.raises(NoBoundaryError, match="no smooth-fit sign change"):
             solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
         assert sizes == [41, 12, 12, 25]

@@ -5,7 +5,10 @@ over those lines.  Two trees that print the same hash return bit-identical
 outputs on:
 
 - ``price_summary`` of 32 contracts: 9 Kou reference contracts (knock rates
-  0, -26.34 and -5e7 at spots 90, 100 and 110), 3 Kou zero-barrier, 3
+  0, -26.34 and -5e7 at spots 90, 100 and 110), the Kou step contract at
+  spots 120 and 130 (inside and above the span 114.45-126.74 of its
+  randomized exercise boundaries, so the premium split takes its branch
+  above the boundary), 3 Kou zero-barrier, 3
   lambda = 0 step and 3 lambda = 0 zero-barrier contracts, 3 low-volatility
   Kou step contracts (sigma 0.01 with L = 80 and 95, sigma 0.02 with
   L = 80, spot 100), one Kou step contract with delta = 1e-4 (spot 100,
@@ -65,6 +68,7 @@ def contracts() -> list[tuple[str, HejdModel, DownOutStepSpec, float, float]]:
     out = []
     for rho in (0.0, -26.34, -5.0e7):
         out += [(f"kou rho={rho:g}", KOU, DownOutStepSpec(100.0, 95.0, rho), 1.0, x) for x in SPOTS]
+    out += [("kou rho=-26.34", KOU, STEP, 1.0, x) for x in (120.0, 130.0)]
     out += [("kou zero-barrier", KOU, ZERO_BARRIER, 1.0, x) for x in SPOTS]
     out += [("lambda=0 step", BS, STEP, 1.0, x) for x in SPOTS]
     out += [("lambda=0 zero-barrier", BS, ZERO_BARRIER, 1.0, x) for x in SPOTS]
