@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime
 import io
 import json
 import math
@@ -18,10 +19,10 @@ from pathlib import Path
 from . import __version__
 from .config import parse_config
 from .errors import ConfigError, HejdStepError
-from .inversion import QUANTITIES, gs_weights, price_summary, price_time_domain
-from .manifest import build_manifest
+from .inversion import DEFAULT_GS_ORDER, QUANTITIES, gs_weights, price_summary, price_time_domain
+from .model import DownOutStepSpec, HejdModel
 from .montecarlo import PathConfig, verify_duality
-from .roots import find_roots
+from .roots import find_roots, root_brackets
 from .tables import TABLE_IDS, build_table
 
 _PRICE_QUANTITIES = QUANTITIES + ("all",)
@@ -44,16 +45,36 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(manifest, fmt: str, out: str | None, doc: dict | None, body: str) -> None:
+def _manifest(command: str, gs_order: int, model: HejdModel | None,
+              spec: DownOutStepSpec | None, **parameters) -> dict:
+    """Enough resolved state to reproduce the output bit-exactly."""
+    return {
+        "command": command,
+        "engine_version": __version__,
+        "gs_order": gs_order,
+        "model": {} if model is None else {
+            "r": model.r, "delta": model.delta, "sigma": model.sigma, "lambda": model.lam,
+            "p": list(model.up_weights), "xi": list(model.up_rates),
+            "q": list(model.down_weights), "eta": list(model.down_rates),
+        },
+        "contract": {} if spec is None else {
+            "K": spec.strike, "L": spec.barrier, "rho_L": spec.knock_rate, "gamma_L": spec.seasoning,
+        },
+        "parameters": parameters,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    }
+
+
+def _emit(manifest: dict, fmt: str, out: str | None, doc: dict | None, body: str) -> None:
     """Write ``doc`` as JSON with the manifest embedded, or the csv/text
     ``body`` with the manifest policy above."""
     if fmt == "json":
-        doc = {**doc, "manifest": json.loads(manifest.to_json())}
+        doc = {**doc, "manifest": manifest}
         _write_output(json.dumps(doc, indent=2, sort_keys=True), out)
         return
     _write_output(body, out)
     if out:
-        _write_output(manifest.to_json(), out + ".manifest.json")
+        _write_output(json.dumps(manifest, indent=2, sort_keys=True), out + ".manifest.json")
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
@@ -79,8 +100,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
         value = price_time_domain(model, spec, args.t, args.x, args.quantity, cfg)
         payload = {"quantity": args.quantity, "value": value}
         text = [f"{args.quantity}  {value:.3f}"]
-    manifest = build_manifest(
-        "price", __version__, args.gs_order, model, spec,
+    manifest = _manifest(
+        "price", args.gs_order, model, spec,
         t=args.t, x=args.x, quantity=args.quantity, format=args.format,
     )
     body = _csv(payload, [payload.values()]) if args.format == "csv" else "\n".join(text) + "\n"
@@ -91,9 +112,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     cfg = gs_weights(args.gs_order)
     result = build_table(args.table_id, cfg)
-    manifest = build_manifest(
-        "table", __version__, args.gs_order, None, None, table_id=args.table_id
-    )
+    manifest = _manifest("table", args.gs_order, None, None, table_id=args.table_id)
     rows = (["" if isinstance(v, float) and math.isnan(v) else repr(v) if isinstance(v, float) else v
              for v in row] for row in result.rows)
     _emit(manifest, "csv", args.out, None, _csv(result.header, rows))
@@ -126,8 +145,8 @@ def _cmd_greeks(args: argparse.Namespace) -> int:
             (x1, v1 - v2, d1 - d2, g1 - g2)
             for (x1, v1, d1, g1), (_, v2, d2, g2) in zip(rows, rows2)
         ]
-    manifest = build_manifest(
-        "greeks", __version__, args.gs_order, model, spec,
+    manifest = _manifest(
+        "greeks", args.gs_order, model, spec,
         t=args.t, x_lo=args.x_lo, x_hi=args.x_hi, n=args.n,
         quantity=args.quantity, bump=args.bump, diff_against=args.diff_against,
     )
@@ -139,17 +158,14 @@ def _cmd_greeks(args: argparse.Namespace) -> int:
 def _cmd_roots(args: argparse.Namespace) -> int:
     model, _spec = parse_config(args.config)
     roots = find_roots(model, args.alpha)
-    xi, eta = model.up_rates, model.down_rates
-    rows = []
-    for s, beta in enumerate(roots.betas):
-        lo = 0.0 if s == 0 else xi[s - 1]
-        hi = xi[s] if s < model.m else math.inf
-        rows.append({"root": beta, "kind": "beta", "index": s + 1, "bracket_lo": lo, "bracket_hi": hi})
-    for u, gamma in enumerate(roots.gammas):
-        hi = 0.0 if u == 0 else -eta[u - 1]
-        lo = -eta[u] if u < model.n else -math.inf
-        rows.append({"root": gamma, "kind": "gamma", "index": u + 1, "bracket_lo": lo, "bracket_hi": hi})
-    manifest = build_manifest("roots", __version__, 0, model, _spec, alpha=args.alpha)
+    brackets = root_brackets(model)
+    rows = [
+        {"root": root, "kind": kind, "index": i + 1, "bracket_lo": lo, "bracket_hi": hi}
+        for kind, found, intervals in (("beta", roots.betas, brackets[: model.m + 1]),
+                                       ("gamma", roots.gammas, brackets[model.m + 1 :]))
+        for i, (root, (lo, hi)) in enumerate(zip(found, intervals))
+    ]
+    manifest = _manifest("roots", 0, model, _spec, alpha=args.alpha)
     doc = {"alpha": roots.alpha, "max_residual": roots.max_residual, "roots": rows}
     lines = [f"roots of Phi(theta) = {roots.alpha} (max residual {roots.max_residual:.3e})"]
     for row in rows:
@@ -178,8 +194,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "duality_pooled_se": duality.pooled_se,
         "z_duality": duality.z_score,
     }
-    manifest = build_manifest(
-        "verify", __version__, args.gs_order, model, spec,
+    manifest = _manifest(
+        "verify", args.gs_order, model, spec,
         t=args.t, x=args.x, paths=args.paths, dt=args.dt, seed=args.seed,
     )
     text = [
@@ -204,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_format=True):
-        p.add_argument("--gs-order", type=int, default=7, help="inversion order (1..10)")
+        p.add_argument("--gs-order", type=int, default=DEFAULT_GS_ORDER, help="inversion order (1..10)")
         p.add_argument("--out", default=None, help="write output to this file")
         if with_format:
             p.add_argument("--format", choices=("text", "json", "csv"), default="text")

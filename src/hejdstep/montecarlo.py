@@ -7,7 +7,8 @@ exactly on the merged grid of jump epochs and dt multiples.  The occupation
 time below the barrier is accumulated with the left-endpoint rule on that
 merged grid.  Randomness comes from counter-based Philox streams keyed by
 (seed, stream, batch), so results are bit-reproducible for a fixed
-configuration regardless of batch scheduling.
+configuration regardless of batch scheduling.  Each path is one plain
+sample (no variance reduction), and one run takes at most 4e9 path steps.
 
 Batches run on a thread pool of workers = min(batches, CPUs in the
 process's affinity mask, else os.cpu_count()) threads.  One batch or one CPU
@@ -37,22 +38,21 @@ __all__ = [
     "verify_duality",
 ]
 
+_MAX_GRID_POINTS = 4.0e9  # cap on n_paths * ceil(T/dt), the path steps of one run
+
 
 @dataclass(frozen=True)
 class PathConfig:
     """Simulation controls.
 
-    ``n_paths`` counts returned paths; with ``antithetic`` the second half
-    mirrors the Brownian draws of the first half (jump pattern shared), so
-    path i pairs with path i + n_paths/2.  ``max_grid_points`` caps
-    n_paths * ceil(T/dt).
+    ``n_paths`` counts returned paths, simulated ``batch_size`` at a time.
+    A run may take at most 4e9 path steps: n_paths * ceil(T/dt) above that
+    raises BudgetError before anything is allocated.
     """
 
     n_paths: int
     dt: float = 1e-3
     seed: int = 0
-    antithetic: bool = False
-    max_grid_points: float = 4.0e9
     batch_size: int = 1 << 17
 
     def __post_init__(self) -> None:
@@ -60,8 +60,6 @@ class PathConfig:
             raise ValueError("n_paths must be at least 10_000")
         if not 0.0 < self.dt <= 1e-3:
             raise ValueError("dt must lie in (0, 1e-3] years")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even n_paths")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
 
@@ -122,13 +120,8 @@ def _advance_jump_paths(
     sigma: float,
     x_barrier: float,
     rng: np.random.Generator,
-    mirror: bool,
 ) -> None:
-    """Exact sub-stepping of the paths that jump inside (t0, t1].
-
-    X and occ have shape (n_rep, n_paths); with mirror=True the second row
-    reuses the negated normal draws of the first (antithetic Brownian part).
-    """
+    """Exact sub-stepping of the paths that jump inside (t0, t1]."""
     pos = np.searchsorted(jp, path_slice)
     cur_t = np.full(len(jp), t0)
     # rank of each jump within its (path, step) group
@@ -140,17 +133,16 @@ def _advance_jump_paths(
         p_sel = pos[sel]
         dt_sub = times_slice[sel] - cur_t[p_sel]
         z = rng.standard_normal(int(sel.sum()))
-        zs = np.stack([z, -z]) if mirror else z[None, :]
-        left = X[:, jp[p_sel]]
-        occ[:, jp[p_sel]] += dt_sub * (left < x_barrier)
-        X[:, jp[p_sel]] = left + drift * dt_sub + sigma * np.sqrt(dt_sub) * zs + sizes_slice[sel]
+        paths = jp[p_sel]
+        left = X[paths]
+        occ[paths] += dt_sub * (left < x_barrier)
+        X[paths] = left + drift * dt_sub + sigma * np.sqrt(dt_sub) * z + sizes_slice[sel]
         cur_t[p_sel] = times_slice[sel]
     dt_fin = t1 - cur_t
     z = rng.standard_normal(len(jp))
-    zs = np.stack([z, -z]) if mirror else z[None, :]
-    left = X[:, jp]
-    occ[:, jp] += dt_fin * (left < x_barrier)
-    X[:, jp] = left + drift * dt_fin + sigma * np.sqrt(dt_fin) * zs
+    left = X[jp]
+    occ[jp] += dt_fin * (left < x_barrier)
+    X[jp] = left + drift * dt_fin + sigma * np.sqrt(dt_fin) * z
 
 
 def _usable_cpus() -> int:
@@ -185,15 +177,12 @@ def _simulate_batch(
     dt: float,
     n_steps: int,
     nb: int,
-    antithetic: bool,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-price increments X and occupation times of one batch of nb base
-    paths, each of shape (n_rep, nb); row 1 is the antithetic mirror."""
-    n_rep = 2 if antithetic else 1
+    """Log-price increments X and occupation times of one batch of nb paths."""
     drift, sigma = model.drift, model.sigma
-    X = np.zeros((n_rep, nb))
-    occ = np.zeros((n_rep, nb))
+    X = np.zeros(nb)
+    occ = np.zeros(nb)
     if model.lam > 0.0:
         jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
         jstep = np.minimum((jt / dt).astype(np.int64), n_steps - 1)
@@ -204,9 +193,8 @@ def _simulate_batch(
         jt = np.empty(0)
         step_bounds = np.zeros(n_steps + 1, dtype=np.int64)
 
-    below = np.empty((n_rep, nb), dtype=bool)
+    below = np.empty(nb, dtype=bool)
     zbuf = np.empty(nb)
-    inc = np.empty(nb)
     for k in range(n_steps):
         t0 = k * dt
         t1 = min((k + 1) * dt, horizon)
@@ -217,26 +205,23 @@ def _simulate_batch(
             # jumping paths are where the path index changes
             seg = jpaths[lo:hi]
             jp = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
-            x_old = X[:, jp]
-            occ_old = occ[:, jp]
+            x_old = X[jp]
+            occ_old = occ[jp]
         # flat update of every path; jump paths are rolled back below
         rng.standard_normal(out=zbuf)
         np.less(X, x_barrier, out=below)
         np.add(occ, h, out=occ, where=below)
-        scale = sigma * math.sqrt(h)
-        drift_h = drift * h
-        np.multiply(zbuf, scale, out=inc)
-        if antithetic:
-            np.subtract(drift_h, inc, out=zbuf)  # the draws are spent once scaled
-            X[1] += zbuf
-        inc += drift_h
-        X[0] += inc
+        # keep this rounding order (z*scale, + drift*h, X +=):
+        # tools/fingerprint.py pins the bits of fixed-seed estimates
+        np.multiply(zbuf, sigma * math.sqrt(h), out=zbuf)
+        zbuf += drift * h
+        X += zbuf
         if hi > lo:
-            X[:, jp] = x_old
-            occ[:, jp] = occ_old
+            X[jp] = x_old
+            occ[jp] = occ_old
             _advance_jump_paths(
                 X, occ, jp, jpaths[lo:hi], jt[lo:hi], js[lo:hi],
-                t0, t1, drift, sigma, x_barrier, rng, antithetic,
+                t0, t1, drift, sigma, x_barrier, rng,
             )
 
     np.clip(occ, 0.0, horizon, out=occ)
@@ -253,52 +238,43 @@ def simulate_terminal(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal prices and occupation times below the barrier.
 
-    Returns (s_terminal, occupation), each of length cfg.n_paths.  With
-    antithetic sampling the arrays hold the base half followed by the
-    mirrored half.  Batches may run on several threads; each draws from its
-    own (seed, stream, batch) stream and fills only its own slices, so the
-    result is bit-identical whatever the number of threads or their order.
+    Returns (s_terminal, occupation), each of length cfg.n_paths.  Batches
+    may run on several threads; each draws from its own (seed, stream, batch)
+    stream and fills only its own slices, so the result is bit-identical
+    whatever the number of threads or their order.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be strictly positive")
     if x <= 0.0:
         raise ValueError("spot must be strictly positive")
     n_steps = int(math.ceil(horizon / cfg.dt - 1e-12))
-    if cfg.n_paths * n_steps > cfg.max_grid_points:
+    if cfg.n_paths * n_steps > _MAX_GRID_POINTS:
         raise BudgetError(
-            f"n_paths * steps = {cfg.n_paths * n_steps:.3e} exceeds budget {cfg.max_grid_points:.3e}"
+            f"n_paths * steps = {cfg.n_paths * n_steps:.3e} exceeds budget {_MAX_GRID_POINTS:.3e}"
         )
     if barrier < 0.0:
         raise ValueError("barrier must be non-negative")
     x_barrier = -math.inf if barrier == 0.0 else (math.inf if math.isinf(barrier) else math.log(barrier / x))
 
-    n_base = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     s_out = np.empty(cfg.n_paths)
     occ_out = np.empty(cfg.n_paths)
 
     def run_batch(b: int) -> None:
         lo = b * cfg.batch_size
-        nb = min(cfg.batch_size, n_base - lo)
-        X, occ = _simulate_batch(model, x_barrier, horizon, cfg.dt, n_steps, nb,
-                                 cfg.antithetic, _rng(cfg.seed, stream, b))
-        s_batch = x * np.exp(X)
-        for rep in range(len(X)):
-            # the mirrored half starts at n_base
-            at = rep * n_base + lo
-            s_out[at : at + nb] = s_batch[rep]
-            occ_out[at : at + nb] = occ[rep]
+        hi = min(lo + cfg.batch_size, cfg.n_paths)
+        X, occ = _simulate_batch(model, x_barrier, horizon, cfg.dt, n_steps, hi - lo,
+                                 _rng(cfg.seed, stream, b))
+        s_out[lo:hi] = x * np.exp(X)
+        occ_out[lo:hi] = occ
 
-    _run_batches(run_batch, -(-n_base // cfg.batch_size))
+    _run_batches(run_batch, -(-cfg.n_paths // cfg.batch_size))
     return s_out, occ_out
 
 
-def _estimate(samples: np.ndarray, antithetic: bool, n_paths: int, dt: float) -> McEstimate:
-    if antithetic:
-        half = len(samples) // 2
-        samples = 0.5 * (samples[:half] + samples[half:])
+def _estimate(samples: np.ndarray, dt: float) -> McEstimate:
     value = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-    return McEstimate(value=value, std_error=se, n_paths=n_paths, dt=dt)
+    return McEstimate(value=value, std_error=se, n_paths=len(samples), dt=dt)
 
 
 def mc_euro_step_price(
@@ -313,7 +289,7 @@ def mc_euro_step_price(
     s_t, occ = simulate_terminal(model, x, spec.barrier, horizon, cfg)
     disc = math.exp(-model.r * horizon)
     payoff = disc * np.exp(spec.knock_rate * (spec.seasoning + occ)) * np.maximum(s_t - spec.strike, 0.0)
-    return _estimate(payoff, cfg.antithetic, cfg.n_paths, cfg.dt)
+    return _estimate(payoff, cfg.dt)
 
 
 def verify_duality(
@@ -343,7 +319,7 @@ def verify_duality(
         * np.exp(spec.knock_rate * (spec.seasoning + occ_above))
         * np.maximum(x - s_t, 0.0)
     )
-    put = _estimate(payoff, cfg.antithetic, cfg.n_paths, cfg.dt)
+    put = _estimate(payoff, cfg.dt)
 
     diff = call.value - put.value
     pooled = math.hypot(call.std_error, put.std_error)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BracketError, ConvergenceError
 from .model import HejdModel, _phi_prime_raw, _phi_raw
 
-__all__ = ["RootSet", "find_roots"]
+__all__ = ["RootSet", "find_roots", "root_brackets"]
 
 _MAX_ITER = 200
 _POLE_OFFSET_FRAC = 1e-9  # initial interior offset as a fraction of the bracket
@@ -49,18 +49,12 @@ class RootSet:
         m, n = model.m, model.n
         if len(self.betas) != m + 1 or len(self.gammas) != n + 1:
             raise BracketError("root count does not match mixture size")
-        xi = model.up_rates
-        for s, beta in enumerate(self.betas):
-            lo = 0.0 if s == 0 else xi[s - 1]
-            hi = xi[s] if s < m else math.inf
-            if not lo < beta < hi:
-                raise BracketError(f"beta[{s}]={beta} escapes ({lo}, {hi})")
-        eta = model.down_rates
-        for u, gamma in enumerate(self.gammas):
-            hi = 0.0 if u == 0 else -eta[u - 1]
-            lo = -eta[u] if u < n else -math.inf
-            if not lo < gamma < hi:
-                raise BracketError(f"gamma[{u}]={gamma} escapes ({lo}, {hi})")
+        brackets = root_brackets(model)
+        for kind, found, intervals in (("beta", self.betas, brackets[: m + 1]),
+                                       ("gamma", self.gammas, brackets[m + 1 :])):
+            for i, (root, (lo, hi)) in enumerate(zip(found, intervals)):
+                if not lo < root < hi:
+                    raise BracketError(f"{kind}[{i}]={root} escapes ({lo}, {hi})")
         tol = 1e-10 * max(1.0, self.alpha)
         for root in list(self.betas) + list(self.gammas):
             resid = abs(_phi_raw(model, root) - self.alpha)
@@ -192,23 +186,27 @@ def _outer_root(model: HejdModel, alpha: float, pole: float, sign: float) -> flo
     return _bisect_newton(model, alpha, min(near, far), max(near, far))
 
 
+def root_brackets(model: HejdModel) -> list[tuple[float, float]]:
+    """Interlacing interval (lo, hi) of each root: the m+1 betas in
+    increasing order, then the n+1 gammas from zero outward."""
+    ups = (0.0,) + model.up_rates + (math.inf,)
+    downs = (0.0,) + tuple(-e for e in model.down_rates) + (-math.inf,)
+    return ([(ups[s], ups[s + 1]) for s in range(model.m + 1)]
+            + [(downs[u + 1], downs[u]) for u in range(model.n + 1)])
+
+
 def find_roots(model: HejdModel, alpha: float) -> RootSet:
     """All m+n+2 real roots of Phi(theta) = alpha for alpha > 0."""
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("alpha must be strictly positive")
 
-    betas: list[float] = []
-    edges = (0.0,) + model.up_rates
-    for i in range(model.m):
-        betas.append(_interior_root(model, alpha, edges[i], edges[i + 1]))
-    betas.append(_outer_root(model, alpha, edges[-1], +1.0))
-
-    gammas: list[float] = []
-    edges = (0.0,) + tuple(-e for e in model.down_rates)
-    for j in range(model.n):
-        gammas.append(_interior_root(model, alpha, edges[j + 1], edges[j]))
-    gammas.append(_outer_root(model, alpha, edges[-1], -1.0))
+    brackets = root_brackets(model)
+    up, down = brackets[: model.m + 1], brackets[model.m + 1 :]
+    betas = [_interior_root(model, alpha, lo, hi) for lo, hi in up[:-1]]
+    betas.append(_outer_root(model, alpha, up[-1][0], +1.0))
+    gammas = [_interior_root(model, alpha, lo, hi) for lo, hi in down[:-1]]
+    gammas.append(_outer_root(model, alpha, down[-1][1], -1.0))
 
     resid = max(
         abs(_phi_raw(model, t) - alpha) for t in betas + gammas

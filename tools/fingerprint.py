@@ -15,10 +15,15 @@ outputs on:
   whose boundaries at all 14 abscissae lie beyond K*e^5, so the boundary
   scan's expanded grid brackets them), and 8 seeded random HEJD contracts;
 - every cell of ``build_table(1)`` and ``build_table(2)``;
-- one seeded 10,000-path ``mc_euro_step_price`` on the Kou step contract.
+- one seeded 10,000-path ``mc_euro_step_price`` on the Kou step contract;
+- one seeded 10,000-path ``verify_duality`` on the jump-heavy m = n = 3,
+  lambda = 10 market with the step contract at t = 0.25, spot 100: value and
+  standard error of the call and of the dual put.  With about 2.5 jumps per
+  path it runs the multi-jump sub-steps of both streams, which the Kou
+  lambda = 1 estimate above rarely reaches.
 
-A contract that raises prints its error type and message instead.  Run from
-the root of a checkout:
+That is 460 values.  A contract that raises prints its error type and
+message instead.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/fingerprint.py
 
@@ -35,12 +40,15 @@ from dataclasses import replace
 import numpy as np
 
 import hejdstep
-from hejdstep import DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary
+from hejdstep import DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary, verify_duality
 from hejdstep.tables import build_table
 
 KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
                 up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
 BS = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0)
+HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
+                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
+                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
 STEP = DownOutStepSpec(100.0, 95.0, -26.34)
 ZERO_BARRIER = DownOutStepSpec(100.0, 0.0, 0.0)
 SPOTS = (90.0, 100.0, 110.0)
@@ -97,6 +105,10 @@ def lines() -> list[str]:
             out += [f"table{table_id}[{i}].{col} {float(v).hex()}" for col, v in zip(table.header, row)]
     est = mc_euro_step_price(KOU, STEP, 1.0, 100.0, PathConfig(n_paths=10_000, seed=2026))
     out += [f"mc_euro_step_price.value {est.value.hex()}", f"mc_euro_step_price.std_error {est.std_error.hex()}"]
+    report = verify_duality(HEAVY, STEP, 0.25, 100.0, PathConfig(n_paths=10_000, seed=2026))
+    for side, est in (("call", report.call), ("dual_put", report.dual_put)):
+        out += [f"verify_duality.{side}.value {est.value.hex()}",
+                f"verify_duality.{side}.std_error {est.std_error.hex()}"]
     return out
 
 
