@@ -13,7 +13,6 @@ from .errors import (
     NoBoundaryError,
     OrderError,
     PoleError,
-    QuadratureError,
     SingularSystemError,
 )
 from .inversion import (
@@ -27,13 +26,10 @@ from .inversion import (
 )
 from .model import (
     DownOutStepSpec,
-    GeneratorConfig,
     HejdModel,
     dual_model,
-    generator_apply,
     laplace_exponent,
     laplace_exponent_derivative,
-    levy_exponent,
 )
 from .montecarlo import (
     DualityReport,
@@ -50,7 +46,6 @@ from .pricing import (
     eval_eep_mr,
     eval_eep_split_mr,
     eval_european_mr,
-    oide_residual,
     seasoned_price,
     solve_american_mr,
     solve_european_mr,
@@ -62,16 +57,15 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # model
-    "HejdModel", "DownOutStepSpec", "GeneratorConfig",
-    "laplace_exponent", "laplace_exponent_derivative", "levy_exponent",
-    "dual_model", "generator_apply",
+    "HejdModel", "DownOutStepSpec",
+    "laplace_exponent", "laplace_exponent_derivative", "dual_model",
     # roots
     "RootSet", "find_roots",
     # pricing
     "MrEuropeanSolution", "MrAmericanSolution",
     "solve_european_mr", "eval_european_mr", "solve_american_mr",
     "eval_eep_mr", "eval_eep_split_mr", "eval_american_mr",
-    "seasoned_price", "oide_residual",
+    "seasoned_price",
     # inversion
     "GsConfig", "gs_weights", "gs_invert", "price_time_domain", "price_summary",
     "QUANTITIES", "DEFAULT_GS_ORDER",
@@ -79,7 +73,7 @@ __all__ = [
     "PathConfig", "McEstimate", "DualityReport",
     "simulate_terminal", "mc_euro_step_price", "verify_duality",
     # errors
-    "HejdStepError", "ConfigError", "PoleError", "QuadratureError",
+    "HejdStepError", "ConfigError", "PoleError",
     "BracketError", "ConvergenceError", "SingularSystemError",
     "NoBoundaryError", "AmbiguousBoundaryError", "OrderError", "BudgetError",
 ]

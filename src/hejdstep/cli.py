@@ -124,6 +124,8 @@ def _cmd_greeks(args: argparse.Namespace) -> int:
     cfg = gs_weights(args.gs_order)
     if args.x_lo >= args.x_hi:
         raise ConfigError("need x_lo < x_hi")
+    if not 0.0 < args.bump < math.inf:
+        raise ConfigError(f"need a finite positive bump, got {args.bump!r}")
     if args.n < 3:
         raise ConfigError("need at least 3 grid points")
 

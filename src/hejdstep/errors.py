@@ -15,10 +15,6 @@ class PoleError(HejdStepError):
     """Laplace exponent evaluated at (or too close to) a jump-rate pole."""
 
 
-class QuadratureError(HejdStepError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class BracketError(HejdStepError):
     """No sign change found inside an interlacing bracket; the model
     invariants are violated or the bracket expansion cap was hit."""

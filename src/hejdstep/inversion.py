@@ -103,8 +103,8 @@ def gs_invert(F: Callable[[float], float], t: float, cfg: GsConfig | None = None
     sum_k |zeta_k F(theta_k)|, about 1e-8 at order 7.
     """
     t = float(t)
-    if not t > 0.0:
-        raise ValueError("t must be strictly positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and strictly positive, got {t!r}")
     cfg = cfg or gs_weights(DEFAULT_GS_ORDER)
     log2_over_t = math.log(2.0) / t
     terms = []
@@ -150,8 +150,8 @@ def price_time_domain(
     if quantity != "euro" and model.delta <= 0.0:
         raise NoBoundaryError("American-family quantities need a positive dividend yield")
     x = float(x)
-    if x < 0.0:
-        raise ValueError("spot must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
     if x == 0.0:
         return 0.0
     raw = gs_invert(_transform_function(model, spec, x, quantity), t, cfg)

@@ -9,37 +9,33 @@ exponentials:
 The drift is never a free parameter: it is pinned by the martingale condition
 Phi_X(1) = r - delta on the Laplace exponent, so the discounted cum-dividend
 asset is a martingale by construction.
+
+The module holds what pricing needs: the Laplace exponent, on which the
+roots are found, and the dual market of the put-call duality.  The
+characteristic exponent and the generator of the log-price serve only to
+check prices, and live with the test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .errors import PoleError, QuadratureError
+from .errors import PoleError
 
 __all__ = [
     "HejdModel",
     "DownOutStepSpec",
-    "GeneratorConfig",
     "laplace_exponent",
     "laplace_exponent_derivative",
-    "levy_exponent",
     "dual_model",
-    "generator_apply",
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
 _POLE_REL_TOL = 1e-14
-# generator_apply's jump integral: quadrature tolerances, and the component
-# density below which its tail is truncated
-_QUAD_REL_TOL = 1e-10
-_QUAD_ABS_TOL = 1e-12
-_DENSITY_FLOOR = 1e-16
 
 
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
@@ -233,22 +229,6 @@ def laplace_exponent_derivative(model: HejdModel, theta: float) -> float:
     return _phi_prime_raw(model, theta)
 
 
-def levy_exponent(model: HejdModel, theta: complex) -> complex:
-    """Characteristic (Levy) exponent Psi(theta) = -log E[e^{i theta X_1}];
-    satisfies Psi(-i theta) = -Phi(theta) on the strip of definition."""
-    theta = complex(theta)
-    value = -1j * model.drift * theta + 0.5 * model.sigma**2 * theta * theta
-    if model.lam > 0.0:
-        p, xi = np.asarray(model.up_weights), np.asarray(model.up_rates)
-        q, eta = np.asarray(model.down_weights), np.asarray(model.down_rates)
-        value -= model.lam * (
-            complex(np.sum(p * xi / (xi - 1j * theta)))
-            + complex(np.sum(q * eta / (eta + 1j * theta)))
-            - 1.0
-        )
-    return value
-
-
 def dual_model(model: HejdModel) -> HejdModel:
     """Dual market of the put-call duality measure change.
 
@@ -275,102 +255,3 @@ def dual_model(model: HejdModel) -> HejdModel:
         down_weights=down_w,
         down_rates=down_r,
     )
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Numerical controls for generator_apply.
-
-    ``fd_step`` is the five-point central-difference step in log-price.
-    ``breakpoints`` are known kinks of the target function (log-price), passed
-    to the adaptive quadrature.  ``growth_pos``/``growth_neg`` bound the
-    growth of |V|: |V(x+y)| <= C e^{growth_pos*y} as y -> +inf and
-    |V(x-u)| <= C e^{growth_neg*u} as u -> +inf; they control the analytic
-    truncation of the jump integral.
-    """
-
-    fd_step: float = 1e-4
-    breakpoints: tuple[float, ...] = ()
-    growth_pos: float = 1.0
-    growth_neg: float = 0.0
-
-
-def _quad_component(
-    integrand: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: list[float],
-) -> float:
-    result = integrate.quad(
-        integrand,
-        lo,
-        hi,
-        points=points or None,
-        limit=200,
-        epsabs=_QUAD_ABS_TOL,
-        epsrel=_QUAD_REL_TOL,
-        full_output=1,
-    )
-    value, abserr = result[0], result[1]
-    if len(result) > 3:  # warning message present
-        raise QuadratureError(f"jump integral did not converge: {result[3]}")
-    if abserr > 100.0 * max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(value)):
-        raise QuadratureError(
-            f"jump integral error estimate {abserr:.3e} above tolerance for value {value:.6e}"
-        )
-    return value
-
-
-def generator_apply(
-    model: HejdModel,
-    V: Callable[[float], float],
-    x: float,
-    cfg: GeneratorConfig | None = None,
-) -> float:
-    """Apply the infinitesimal generator of the log-price process to V at x.
-
-    Returns sigma^2/2 V'' + drift V' + lam * Int (V(x+y) - V(x)) f(y) dy with
-    derivatives by five-point central differences and the jump integral by
-    adaptive quadrature, one mixture component at a time, truncated where the
-    component density (adjusted for the stated growth of V) falls below
-    1e-16.
-    """
-    cfg = cfg or GeneratorConfig()
-    x = float(x)
-    h = cfg.fd_step
-    v0 = V(x)
-    vp1, vm1, vp2, vm2 = V(x + h), V(x - h), V(x + 2 * h), V(x - 2 * h)
-    d1 = (-vp2 + 8.0 * vp1 - 8.0 * vm1 + vm2) / (12.0 * h)
-    d2 = (-vp2 + 16.0 * vp1 - 30.0 * v0 + 16.0 * vm1 - vm2) / (12.0 * h * h)
-    out = 0.5 * model.sigma**2 * d2 + model.drift * d1
-
-    if model.lam == 0.0:
-        return out
-
-    log_floor = -math.log(_DENSITY_FLOOR)
-    jump = 0.0
-    for p_i, xi_i in zip(model.up_weights, model.up_rates):
-        decay = xi_i - cfg.growth_pos
-        if decay <= 0.0:
-            raise QuadratureError(
-                f"up-jump tail not integrable: rate {xi_i} vs growth bound {cfg.growth_pos}"
-            )
-        y_max = log_floor / min(xi_i, decay)
-        pts = sorted(b - x for b in cfg.breakpoints if 0.0 < b - x < y_max)
-        integrand = lambda y, _xi=xi_i: (V(x + y) - v0) * _xi * math.exp(-_xi * y)
-        val = _quad_component(integrand, 0.0, y_max, pts)
-        val -= v0 * math.exp(-xi_i * y_max)  # exact tail of the -V(x) part
-        jump += p_i * val
-    for q_j, eta_j in zip(model.down_weights, model.down_rates):
-        decay = eta_j - cfg.growth_neg
-        if decay <= 0.0:
-            raise QuadratureError(
-                f"down-jump tail not integrable: rate {eta_j} vs growth bound {cfg.growth_neg}"
-            )
-        y_min = -log_floor / min(eta_j, decay)
-        pts = sorted(b - x for b in cfg.breakpoints if y_min < b - x < 0.0)
-        integrand = lambda y, _eta=eta_j: (V(x + y) - v0) * _eta * math.exp(_eta * y)
-        val = _quad_component(integrand, y_min, 0.0, pts)
-        val -= v0 * math.exp(eta_j * y_min)
-        jump += q_j * val
-    return out + model.lam * jump

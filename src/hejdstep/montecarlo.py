@@ -11,8 +11,7 @@ configuration regardless of batch scheduling.  Each path is one plain
 sample (no variance reduction), and one run takes at most 4e9 path steps.
 
 Batches run on a thread pool of workers = min(batches, CPUs in the
-process's affinity mask, else os.cpu_count()) threads.  One batch or one CPU
-runs the batches in order on the calling thread.  numpy releases the
+process's affinity mask, else os.cpu_count()) threads.  numpy releases the
 interpreter lock in the normal fills and array arithmetic that do the work.
 """
 
@@ -155,16 +154,11 @@ def _usable_cpus() -> int:
 def _run_batches(run_batch: Callable[[int], None], n_batches: int) -> None:
     """Call run_batch(b) once for every b in range(n_batches).
 
-    With workers = min(n_batches, usable CPUs) above one, the batches run on
-    a pool of that many threads, shut down before return; the exception of
-    the first failing batch in batch order is re-raised here.  With one
-    worker no thread starts and the batches run in order on the caller.
+    The batches run on a pool of workers = min(n_batches, usable CPUs)
+    threads, shut down before return; the exception of the first failing
+    batch in batch order is re-raised here.
     """
     workers = min(n_batches, _usable_cpus())
-    if workers <= 1:
-        for b in range(n_batches):
-            run_batch(b)
-        return
     with ThreadPoolExecutor(workers, thread_name_prefix="hejdstep-mc") as pool:
         for _ in pool.map(run_batch, range(n_batches)):
             pass
@@ -245,8 +239,8 @@ def simulate_terminal(
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be strictly positive")
-    if x <= 0.0:
-        raise ValueError("spot must be strictly positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"spot must be finite and strictly positive, got {x!r}")
     n_steps = int(math.ceil(horizon / cfg.dt - 1e-12))
     if cfg.n_paths * n_steps > _MAX_GRID_POINTS:
         raise BudgetError(

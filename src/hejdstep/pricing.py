@@ -16,6 +16,10 @@ corridor between the barrier and an upper seam (the strike, or a candidate
 boundary), and one assembler builds both systems: on the corridor the beta
 terms are anchored at the upper seam and the gamma terms at the barrier,
 each where it is largest.
+
+The solutions are checked outside the library, in tests/oracles.py: against
+the residual of the randomized equation, and at knock rate 0 against
+Lewis's Fourier formula for the randomized vanilla call.
 """
 
 from __future__ import annotations
@@ -33,12 +37,7 @@ from .errors import (
     NoBoundaryError,
     SingularSystemError,
 )
-from .model import (
-    DownOutStepSpec,
-    GeneratorConfig,
-    HejdModel,
-    generator_apply,
-)
+from .model import DownOutStepSpec, HejdModel
 from .roots import RootSet, find_roots
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "eval_eep_split_mr",
     "eval_american_mr",
     "seasoned_price",
-    "oide_residual",
 ]
 
 _COND_CAP = 1e14
@@ -416,8 +414,8 @@ def _eval_corridor(euro: MrEuropeanSolution, w: np.ndarray, log_upper: float, x:
 def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
     """Randomized European price at spot x (middle branch at the seams)."""
     x = float(x)
-    if x < 0.0:
-        raise ValueError("spot must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
     if x == 0.0:
         return 0.0
     if x <= sol.spec.strike:
@@ -519,8 +517,8 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
 def eval_eep_mr(sol: MrAmericanSolution, x: float) -> float:
     """Randomized early-exercise premium at spot x."""
     x = float(x)
-    if x < 0.0:
-        raise ValueError("spot must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
     if x == 0.0:
         return 0.0
     if x >= sol.boundary:
@@ -537,8 +535,8 @@ def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, 
     a solver property, not an identity of this function.
     """
     x = float(x)
-    if x < 0.0:
-        raise ValueError("spot must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
     total = eval_eep_mr(sol, x)
     if x == 0.0:
         return 0.0, 0.0, 0.0
@@ -561,57 +559,3 @@ def seasoned_price(raw_price: float, spec: DownOutStepSpec) -> float:
     factor exp(knock_rate * seasoning)."""
     return math.exp(spec.knock_rate * spec.seasoning) * raw_price
 
-
-def oide_residual(
-    model: HejdModel,
-    spec: DownOutStepSpec,
-    theta: float,
-    sol,
-    x_grid: Sequence[float],
-) -> float:
-    """Max normalized residual of the randomized pricing equation on a grid.
-
-    The solution is treated as a black box evaluator: derivatives come from
-    central differences and the jump integral from adaptive quadrature, so a
-    small residual confirms the assembled coefficients independently.  For American
-    solutions the equation only holds on the continuation region, so the grid
-    must stay below the boundary.  Grid points must keep a margin of at least
-    1e-4 * strike from every branch point.  The residual is normalized by
-    theta * strike.
-    """
-    theta = float(theta)
-    K = spec.strike
-    # branch points: the barrier, the strike and an American boundary
-    boundary = None
-    if isinstance(sol, MrAmericanSolution):
-        value = lambda s: eval_american_mr(sol, s)
-        barrier, boundary = sol.european.barrier_eff, sol.boundary
-    elif isinstance(sol, MrEuropeanSolution):
-        value = lambda s: eval_european_mr(sol, s)
-        barrier = sol.barrier_eff
-    else:
-        value, barrier = sol, spec.barrier
-    pts = ([barrier] if barrier > 0.0 else []) + [K] + ([boundary] if boundary is not None else [])
-
-    margin = 1e-4 * K
-    for x in x_grid:
-        if min(abs(x - p) for p in pts) < margin:
-            raise ValueError(f"grid point {x} closer than {margin} to a branch point")
-        if boundary is not None and x >= boundary:
-            raise ValueError("American residual grid must stay below the boundary")
-        if x <= 0.0:
-            raise ValueError("grid points must be positive")
-
-    log_breaks = tuple(math.log(p) for p in pts if p > 0.0)
-    worst = 0.0
-    g = lambda l: value(math.exp(l))
-    for x in x_grid:
-        lx = math.log(x)
-        log_margin = min(abs(lx - b) for b in log_breaks)
-        step = min(GeneratorConfig.fd_step, 0.25 * log_margin)
-        cfg_x = GeneratorConfig(fd_step=step, breakpoints=log_breaks, growth_pos=1.0, growth_neg=0.0)
-        gen = generator_apply(model, g, lx, cfg_x)
-        rate = model.r + theta - (spec.knock_rate if x < barrier else 0.0)
-        resid = theta * max(x - K, 0.0) + gen - rate * value(x)
-        worst = max(worst, abs(resid))
-    return worst / (theta * K)

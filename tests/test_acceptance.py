@@ -21,7 +21,6 @@ from hejdstep import (
     gs_invert,
     gs_weights,
     laplace_exponent,
-    oide_residual,
     price_summary,
     price_time_domain,
     solve_american_mr,
@@ -29,6 +28,7 @@ from hejdstep import (
     verify_duality,
 )
 from conftest import exponential_pair_reference, random_model, random_spec, stehfest_weights
+from oracles import oide_residual
 
 STEP = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-26.34)
 STANDARD = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=0.0)

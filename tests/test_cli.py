@@ -127,6 +127,20 @@ class TestErrors:
         code = main(["price", str(cfg), "--t", "1", "--x", "100", "--quantity", "amer"])
         assert code == 3
 
+    def test_non_finite_spot_exit_3(self, capsys, config_path):
+        code = main(["price", config_path, "--t", "1", "--x", "nan"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: spot must be finite")
+
+    @pytest.mark.parametrize("bump", ["0", "-1e-3", "inf", "nan"])
+    def test_bump_must_be_finite_and_positive(self, capsys, config_path, bump):
+        code = main(["greeks", config_path, "--t", "1", "--x-lo", "98", "--x-hi", "102",
+                     "--n", "3", f"--bump={bump}"])
+        assert code == 2
+        assert "bump" in capsys.readouterr().err
+
     def test_json_error_field(self, capsys, tmp_path):
         cfg = tmp_path / "nodiv.cfg"
         cfg.write_text(KOU_CONFIG.replace("delta = 0.07", "delta = 0.0"))

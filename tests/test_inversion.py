@@ -7,6 +7,7 @@ import math
 import pytest
 
 from hejdstep import (
+    QUANTITIES,
     DownOutStepSpec,
     OrderError,
     SingularSystemError,
@@ -83,6 +84,10 @@ class TestInvert:
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
             gs_invert(lambda th: 1.0, 0.0)
+        # t = inf would put every abscissa at theta = 0
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                gs_invert(lambda th: 1.0, t)
 
     def test_error_annotation_preserves_type(self):
         def bad(theta):
@@ -100,6 +105,14 @@ class TestTimeDomain:
 
     def test_zero_spot(self, kou_model, step_spec):
         assert price_time_domain(kou_model, step_spec, 1.0, 0.0, "euro") == 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_spot_rejected(self, kou_model, step_spec, x):
+        for q in QUANTITIES:
+            with pytest.raises(ValueError, match="spot"):
+                price_time_domain(kou_model, step_spec, 1.0, x, q)
+        with pytest.raises(ValueError, match="spot"):
+            price_summary(kou_model, step_spec, 1.0, x)
 
     def test_unknown_quantity(self, kou_model, step_spec):
         with pytest.raises(ValueError, match="quantity"):

@@ -10,16 +10,14 @@ import pytest
 
 from hejdstep import (
     DownOutStepSpec,
-    GeneratorConfig,
     HejdModel,
     PoleError,
     dual_model,
-    generator_apply,
     laplace_exponent,
     laplace_exponent_derivative,
-    levy_exponent,
 )
 from conftest import random_model
+from oracles import QuadratureError, generator_apply, levy_exponent
 
 
 class TestModelValidation:
@@ -197,15 +195,14 @@ class TestGeneratorApply:
     @pytest.mark.parametrize("theta", [-25.0, 0.5, 1.0, 13.0])
     def test_exponential_eigenfunctions(self, kou_model, theta):
         # e^{theta x} is an eigenfunction with eigenvalue Phi(theta)
-        cfg = GeneratorConfig(growth_pos=max(theta, 0.0) + 0.5, growth_neg=max(-theta, 0.0) + 0.5)
         x0 = 0.3
-        got = generator_apply(kou_model, lambda x: math.exp(theta * x), x0, cfg)
+        got = generator_apply(kou_model, lambda x: math.exp(theta * x), x0,
+                              growth_pos=max(theta, 0.0) + 0.5, growth_neg=max(-theta, 0.0) + 0.5)
         want = math.exp(theta * x0) * laplace_exponent(kou_model, theta)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-8)
 
     def test_martingale_eigenfunction(self, kou_model):
-        cfg = GeneratorConfig(growth_pos=1.5)
-        got = generator_apply(kou_model, math.exp, 0.0, cfg)
+        got = generator_apply(kou_model, math.exp, 0.0, growth_pos=1.5)
         assert got == pytest.approx(kou_model.r - kou_model.delta, rel=1e-7)
 
     def test_lambda_zero_is_pure_diffusion(self, bs_model):
@@ -214,8 +211,6 @@ class TestGeneratorApply:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_nonintegrable_growth_bound_rejected(self, kou_model):
-        from hejdstep import QuadratureError
-
-        cfg = GeneratorConfig(growth_pos=30.0)  # above the slowest up rate
         with pytest.raises(QuadratureError, match="not integrable"):
-            generator_apply(kou_model, math.exp, 0.0, cfg)
+            # growth bound above the slowest up rate
+            generator_apply(kou_model, math.exp, 0.0, growth_pos=30.0)

@@ -37,6 +37,12 @@ class TestPathConfig:
             simulate_terminal(kou_model, 100.0, 95.0, 1e5, cfg)
 
 
+    @pytest.mark.parametrize("x", [0.0, math.nan, math.inf])
+    def test_spot_must_be_finite_and_positive(self, kou_model, x):
+        with pytest.raises(ValueError, match="spot"):
+            simulate_terminal(kou_model, x, 95.0, 0.1, PathConfig(n_paths=10_000))
+
+
 class TestTerminalLaw:
     def test_martingale_no_jumps(self, bs_model):
         cfg = PathConfig(n_paths=40_000, dt=1e-3, seed=11)

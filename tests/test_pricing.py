@@ -22,7 +22,6 @@ from hejdstep import (
     eval_eep_split_mr,
     eval_european_mr,
     mc_euro_step_price,
-    oide_residual,
     price_summary,
     price_time_domain,
     seasoned_price,
@@ -31,6 +30,7 @@ from hejdstep import (
 )
 from hejdstep import pricing
 from conftest import random_model, random_spec, stehfest_weights
+from oracles import oide_residual
 
 THETA = 1.3
 
@@ -255,6 +255,15 @@ class TestSeasoning:
     def test_accrued_decay(self):
         spec = DownOutStepSpec(100.0, 95.0, -26.34, seasoning=0.1)
         assert seasoned_price(1.0, spec) == pytest.approx(math.exp(-2.634), rel=1e-15)
+
+
+class TestSpotValidation:
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+    def test_spot_outside_domain_raises(self, kou_euro, kou_amer, x):
+        for evaluate, sol in ((eval_european_mr, kou_euro), (eval_eep_mr, kou_amer),
+                              (eval_eep_split_mr, kou_amer), (eval_american_mr, kou_amer)):
+            with pytest.raises(ValueError, match="spot"):
+                evaluate(sol, x)
 
 
 class TestEquationResidual:
