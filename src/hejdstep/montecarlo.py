@@ -237,8 +237,8 @@ def simulate_terminal(
     stream and fills only its own slices, so the result is bit-identical
     whatever the number of threads or their order.
     """
-    if not horizon > 0.0:
-        raise ValueError("horizon must be strictly positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and strictly positive, got {horizon!r}")
     if not 0.0 < x < math.inf:
         raise ValueError(f"spot must be finite and strictly positive, got {x!r}")
     n_steps = int(math.ceil(horizon / cfg.dt - 1e-12))
@@ -246,8 +246,8 @@ def simulate_terminal(
         raise BudgetError(
             f"n_paths * steps = {cfg.n_paths * n_steps:.3e} exceeds budget {_MAX_GRID_POINTS:.3e}"
         )
-    if barrier < 0.0:
-        raise ValueError("barrier must be non-negative")
+    if not barrier >= 0.0:
+        raise ValueError(f"barrier must be non-negative, got {barrier!r}")
     x_barrier = -math.inf if barrier == 0.0 else (math.inf if math.isinf(barrier) else math.log(barrier / x))
 
     s_out = np.empty(cfg.n_paths)

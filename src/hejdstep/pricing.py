@@ -30,10 +30,10 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AmbiguousBoundaryError,
+    ConvergenceError,
     NoBoundaryError,
     SingularSystemError,
 )
@@ -66,6 +66,11 @@ _BOUNDARY_GRIDS = (
     (10.0, 20.0, 12),
     (1e-12, math.log1p(1e-6), 25),
 )
+# Brent's method pins the log-boundary to within xtol + rtol*|b| in at most
+# this many steps
+_BRENT_XTOL = 1e-13
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,6 +450,63 @@ def _smooth_fit_gap(
     return lhs - (exercise_slope - euro_slope), scale
 
 
+def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of f in the log-boundary bracket [a, b], given fa = f(a) and
+    fb = f(b) of opposite signs (or one of them zero).
+
+    Brent's zero-finder (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in the operation order of the C routine
+    Zeros/brentq.c, so it takes that routine's iterates bit for bit.
+    Raises ConvergenceError when f returns NaN or the step cap is reached.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # step rejected: bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(
+                f"american boundary search: smooth-fit gap is NaN at log-boundary {xcur!r}"
+            )
+    raise ConvergenceError(
+        f"american boundary search: Brent's method did not converge in {_BRENT_MAXITER} "
+        f"steps on the log-boundary bracket [{a!r}, {b!r}]"
+    )
+
+
 @lru_cache(maxsize=4096)
 def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> MrAmericanSolution:
     """Randomized American solution via an outer scalar search on the
@@ -458,8 +520,9 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     single solve, and a candidate that fails them raises
     SingularSystemError.  More than one sign change on a grid raises
     AmbiguousBoundaryError, none on any grid NoBoundaryError.  Brent's
-    method then pins the boundary inside the bracket, one candidate per
-    step.
+    zero-finder (Brent 1973, ch. 4, as the C routine brentq.c runs it) then
+    pins the boundary inside the bracket, starting from the scan's gaps at
+    its ends and solving one candidate per step.
     """
     if model.delta <= 0.0:
         raise NoBoundaryError(
@@ -478,9 +541,7 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
         pts = k + np.geomspace(lo, hi, size)
         vals = gap(pts)
         brackets = [
-            (pts[i], pts[i + 1])
-            for i in range(size - 1)
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0
+            i for i in range(size - 1) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0
         ]
         if brackets:
             break
@@ -490,13 +551,15 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
             "(degenerate early-exercise region)"
         )
     if len(brackets) > 1:
-        spot_br = [(math.exp(a), math.exp(b)) for a, b in brackets]
+        spot_br = [(math.exp(pts[i]), math.exp(pts[i + 1])) for i in brackets]
         raise AmbiguousBoundaryError(
             f"{len(brackets)} smooth-fit sign changes found: {spot_br}", spot_br
         )
-    b_log = float(brentq(
-        lambda b: float(gap(np.array([b]))[0]), *brackets[0], xtol=1e-13, rtol=8.9e-16, maxiter=200
-    ))
+    (i,) = brackets
+    b_log = _brent(
+        lambda b: float(gap(np.array([b]))[0]),
+        float(pts[i]), float(pts[i + 1]), float(vals[i]), float(vals[i + 1]),
+    )
 
     # one matrix serves the total and both premium-split right-hand sides
     b = np.array([b_log])

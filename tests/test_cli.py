@@ -174,6 +174,17 @@ class TestErrors:
         assert error["type"] == "SingularSystemError"
         assert "('" not in error["message"] and "theta=" in error["message"]
 
+    def test_boundary_search_cap_exit_3(self, capsys, monkeypatch, config_path):
+        # Brent's method stopped at its step cap: a typed error and exit 3
+        monkeypatch.setattr(pricing, "_BRENT_MAXITER", 1)
+        pricing.solve_american_mr.cache_clear()
+        argv = ["price", config_path, "--t", "1", "--x", "100", "--quantity", "amer", "--format", "json"]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConvergenceError"
+        assert error["message"].startswith("american boundary search: ")
+        assert "log-boundary bracket [" in error["message"] and "theta=" in error["message"]
+
 
 class TestOutputFiles:
     """csv/text written to --out get a sibling <out>.manifest.json; JSON

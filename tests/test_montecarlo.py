@@ -42,6 +42,19 @@ class TestPathConfig:
         with pytest.raises(ValueError, match="spot"):
             simulate_terminal(kou_model, x, 95.0, 0.1, PathConfig(n_paths=10_000))
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, kou_model, step_spec, horizon):
+        cfg = PathConfig(n_paths=10_000)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_terminal(kou_model, 100.0, 95.0, horizon, cfg)
+        with pytest.raises(ValueError, match="horizon"):
+            mc_euro_step_price(kou_model, step_spec, horizon, 100.0, cfg)
+
+    def test_nan_barrier_rejected(self, kou_model):
+        # a NaN barrier compares false with every price: no path would ever be below it
+        with pytest.raises(ValueError, match="barrier"):
+            simulate_terminal(kou_model, 100.0, math.nan, 0.1, PathConfig(n_paths=10_000))
+
 
 class TestTerminalLaw:
     def test_martingale_no_jumps(self, bs_model):
@@ -72,7 +85,7 @@ class TestTerminalLaw:
     def test_infinite_barrier_always_occupied(self, kou_model):
         cfg = PathConfig(n_paths=10_000, dt=1e-3, seed=15)
         _, occ = simulate_terminal(kou_model, 100.0, math.inf, 0.1, cfg)
-        np.testing.assert_allclose(occ, 0.1, atol=1e-12)
+        assert np.all(occ == 0.1)
 
 
 class TestDeterminism:
