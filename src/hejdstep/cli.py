@@ -31,10 +31,13 @@ _PRICE_QUANTITIES = QUANTITIES + ("all",)
 def _write_output(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
 def _csv(header, rows) -> str:
@@ -45,13 +48,15 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _manifest(command: str, gs_order: int, model: HejdModel | None,
-              spec: DownOutStepSpec | None, **parameters) -> dict:
-    """Enough resolved state to reproduce the output bit-exactly."""
+def _manifest(args: argparse.Namespace, model: HejdModel | None, spec: DownOutStepSpec | None) -> dict:
+    """Enough resolved state to reproduce the output bit-exactly: the
+    resolved market and contract plus every parsed argument except the
+    config path (resolved into them) and the output path."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out")}
     return {
-        "command": command,
+        "command": args.command,
         "engine_version": __version__,
-        "gs_order": gs_order,
+        "gs_order": parameters.pop("gs_order", None),
         "model": {} if model is None else {
             "r": model.r, "delta": model.delta, "sigma": model.sigma, "lambda": model.lam,
             "p": list(model.up_weights), "xi": list(model.up_rates),
@@ -65,62 +70,33 @@ def _manifest(command: str, gs_order: int, model: HejdModel | None,
     }
 
 
-def _emit(manifest: dict, fmt: str, out: str | None, doc: dict | None, body: str) -> None:
-    """Write ``doc`` as JSON with the manifest embedded, or the csv/text
-    ``body`` with the manifest policy above."""
-    if fmt == "json":
-        doc = {**doc, "manifest": manifest}
-        _write_output(json.dumps(doc, indent=2, sort_keys=True), out)
-        return
-    _write_output(body, out)
-    if out:
-        _write_output(json.dumps(manifest, indent=2, sort_keys=True), out + ".manifest.json")
+# Each command maps (args, model, spec) to (doc, body): ``doc`` is the record
+# JSON and csv output show (None for the csv-only commands), ``body`` the
+# text or csv output.
 
-
-def _cmd_price(args: argparse.Namespace) -> int:
-    model, spec = parse_config(args.config)
+def _cmd_price(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
     cfg = gs_weights(args.gs_order)
     if args.quantity == "all":
-        summary = price_summary(model, spec, args.t, args.x, cfg)
-        payload = {
-            "euro": summary["euro"],
-            "amer": summary["amer"],
-            "eep": summary["eep"],
-            "eep_pct": summary["eep_pct"],
-            "dc_pct": summary["dc_pct"],
-        }
-        text = [
-            f"euro    {summary['euro']:.3f}",
-            f"amer    {summary['amer']:.3f}",
-            f"eep     {summary['eep']:.3f}",
-            f"eep%    {summary['eep_pct']:.2f}",
-            f"dc%     {summary['dc_pct']:.2f}",
-        ]
+        doc = price_summary(model, spec, args.t, args.x, cfg)
+        # an 8-wide label column, and a space after the labels longer than it
+        lines = [f"{q:<7} {doc[q]:.3f}" for q in QUANTITIES]
+        lines += [f"eep%    {doc['eep_pct']:.2f}", f"dc%     {doc['dc_pct']:.2f}"]
     else:
         value = price_time_domain(model, spec, args.t, args.x, args.quantity, cfg)
-        payload = {"quantity": args.quantity, "value": value}
-        text = [f"{args.quantity}  {value:.3f}"]
-    manifest = _manifest(
-        "price", args.gs_order, model, spec,
-        t=args.t, x=args.x, quantity=args.quantity, format=args.format,
-    )
-    body = _csv(payload, [payload.values()]) if args.format == "csv" else "\n".join(text) + "\n"
-    _emit(manifest, args.format, args.out, payload, body)
-    return 0
+        doc = {"quantity": args.quantity, "value": value}
+        lines = [f"{args.quantity}  {value:.3f}"]
+    return doc, "\n".join(lines)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace, model: None, spec: None) -> tuple[None, str]:
     cfg = gs_weights(args.gs_order)
     result = build_table(args.table_id, cfg)
-    manifest = _manifest("table", args.gs_order, None, None, table_id=args.table_id)
     rows = (["" if isinstance(v, float) and math.isnan(v) else repr(v) if isinstance(v, float) else v
              for v in row] for row in result.rows)
-    _emit(manifest, "csv", args.out, None, _csv(result.header, rows))
-    return 0
+    return None, _csv(result.header, rows)
 
 
-def _cmd_greeks(args: argparse.Namespace) -> int:
-    model, spec = parse_config(args.config)
+def _cmd_greeks(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[None, str]:
     cfg = gs_weights(args.gs_order)
     if args.x_lo >= args.x_hi:
         raise ConfigError("need x_lo < x_hi")
@@ -147,18 +123,10 @@ def _cmd_greeks(args: argparse.Namespace) -> int:
             (x1, v1 - v2, d1 - d2, g1 - g2)
             for (x1, v1, d1, g1), (_, v2, d2, g2) in zip(rows, rows2)
         ]
-    manifest = _manifest(
-        "greeks", args.gs_order, model, spec,
-        t=args.t, x_lo=args.x_lo, x_hi=args.x_hi, n=args.n,
-        quantity=args.quantity, bump=args.bump, diff_against=args.diff_against,
-    )
-    body = _csv(("x", "value", "delta", "gamma"), ([repr(v) for v in row] for row in rows))
-    _emit(manifest, "csv", args.out, None, body)
-    return 0
+    return None, _csv(("x", "value", "delta", "gamma"), ([repr(v) for v in row] for row in rows))
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
-    model, _spec = parse_config(args.config)
+def _cmd_roots(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
     roots = find_roots(model, args.alpha)
     brackets = root_brackets(model)
     rows = [
@@ -167,7 +135,6 @@ def _cmd_roots(args: argparse.Namespace) -> int:
                                        ("gamma", roots.gammas, brackets[model.m + 1 :]))
         for i, (root, (lo, hi)) in enumerate(zip(found, intervals))
     ]
-    manifest = _manifest("roots", 0, model, _spec, alpha=args.alpha)
     doc = {"alpha": roots.alpha, "max_residual": roots.max_residual, "roots": rows}
     lines = [f"roots of Phi(theta) = {roots.alpha} (max residual {roots.max_residual:.3e})"]
     for row in rows:
@@ -175,18 +142,16 @@ def _cmd_roots(args: argparse.Namespace) -> int:
             f"  {row['kind']}[{row['index']}] = {row['root']:.12g}"
             f"   bracket ({row['bracket_lo']:.6g}, {row['bracket_hi']:.6g})"
         )
-    _emit(manifest, args.format, args.out, doc, "\n".join(lines) + "\n")
-    return 0
+    return doc, "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    model, spec = parse_config(args.config)
+def _cmd_verify(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
     cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
     engine = price_time_domain(model, spec, args.t, args.x, "euro", gs_weights(args.gs_order))
     duality = verify_duality(model, spec, args.t, args.x, cfg)
     mc = duality.call  # the stream-0 call estimate, as mc_euro_step_price gives it
     z_engine = (mc.value - engine) / mc.std_error if mc.std_error > 0 else math.inf
-    payload = {
+    doc = {
         "engine_euro": engine,
         "mc_euro": mc.value,
         "mc_se": mc.std_error,
@@ -196,11 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "duality_pooled_se": duality.pooled_se,
         "z_duality": duality.z_score,
     }
-    manifest = _manifest(
-        "verify", args.gs_order, model, spec,
-        t=args.t, x=args.x, paths=args.paths, dt=args.dt, seed=args.seed,
-    )
-    text = [
+    lines = [
         f"engine euro        {engine:.6f}",
         f"mc euro            {mc.value:.6f}  (se {mc.std_error:.6f})",
         f"deviation          {z_engine:+.2f} se",
@@ -208,9 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"duality dual put   {duality.dual_put.value:.6f}",
         f"duality deviation  {duality.z_score:+.2f} pooled se",
     ]
-    body = _csv(payload, [payload.values()]) if args.format == "csv" else "\n".join(text) + "\n"
-    _emit(manifest, args.format, args.out, payload, body)
-    return 0
+    return doc, "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -276,7 +235,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
-        return args.func(args)
+        model, spec = parse_config(args.config) if "config" in args else (None, None)
+        doc, body = args.func(args, model, spec)
+        manifest = _manifest(args, model, spec)
+        if fmt == "json":
+            _write_output(json.dumps({**doc, "manifest": manifest}, indent=2, sort_keys=True), args.out)
+            return 0
+        if fmt == "csv":
+            body = _csv(doc, [doc.values()])
+        _write_output(body, args.out)
+        if args.out:
+            _write_output(json.dumps(manifest, indent=2, sort_keys=True), args.out + ".manifest.json")
+        return 0
     except ConfigError as exc:
         _report_error(exc, fmt, code=2)
         return 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import NoBoundaryError, OrderError
+from .errors import OrderError
 from .model import DownOutStepSpec, HejdModel
 from .pricing import (
     eval_american_mr,
@@ -147,8 +147,6 @@ def price_time_domain(
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    if quantity != "euro" and model.delta <= 0.0:
-        raise NoBoundaryError("American-family quantities need a positive dividend yield")
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"spot must be finite and non-negative, got {x!r}")

@@ -59,6 +59,8 @@ class PathConfig:
             raise ValueError("n_paths must be at least 10_000")
         if not 0.0 < self.dt <= 1e-3:
             raise ValueError("dt must lie in (0, 1e-3] years")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
 
@@ -67,8 +69,6 @@ class PathConfig:
 class McEstimate:
     value: float
     std_error: float
-    n_paths: int
-    dt: float
 
     def __post_init__(self) -> None:
         if self.std_error < 0.0:
@@ -81,7 +81,6 @@ class DualityReport:
 
     call: McEstimate
     dual_put: McEstimate
-    difference: float
     pooled_se: float
     z_score: float
 
@@ -265,10 +264,10 @@ def simulate_terminal(
     return s_out, occ_out
 
 
-def _estimate(samples: np.ndarray, dt: float) -> McEstimate:
+def _estimate(samples: np.ndarray) -> McEstimate:
     value = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-    return McEstimate(value=value, std_error=se, n_paths=len(samples), dt=dt)
+    return McEstimate(value=value, std_error=se)
 
 
 def mc_euro_step_price(
@@ -283,7 +282,7 @@ def mc_euro_step_price(
     s_t, occ = simulate_terminal(model, x, spec.barrier, horizon, cfg)
     disc = math.exp(-model.r * horizon)
     payoff = disc * np.exp(spec.knock_rate * (spec.seasoning + occ)) * np.maximum(s_t - spec.strike, 0.0)
-    return _estimate(payoff, cfg.dt)
+    return _estimate(payoff)
 
 
 def verify_duality(
@@ -313,9 +312,9 @@ def verify_duality(
         * np.exp(spec.knock_rate * (spec.seasoning + occ_above))
         * np.maximum(x - s_t, 0.0)
     )
-    put = _estimate(payoff, cfg.dt)
+    put = _estimate(payoff)
 
     diff = call.value - put.value
     pooled = math.hypot(call.std_error, put.std_error)
     z = diff / pooled if pooled > 0.0 else math.inf
-    return DualityReport(call=call, dual_put=put, difference=diff, pooled_se=pooled, z_score=z)
+    return DualityReport(call=call, dual_put=put, pooled_se=pooled, z_score=z)

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from hejdstep import PathConfig, mc_euro_step_price, pricing
+from hejdstep import PathConfig, mc_euro_step_price, price_summary, pricing
 from hejdstep.cli import main
 from hejdstep.config import parse_config
 
@@ -85,6 +85,27 @@ class TestPrice:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert float(rows[0]["value"]) == _library_euro(config_path)
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_all_reports_the_whole_summary(self, capsys, config_path, fmt):
+        # the premium split (diffusion and jump parts) is printed with the rest
+        code, out = run_cli(capsys, "price", config_path, "--t", "1", "--x", "100",
+                            "--quantity", "all", "--format", fmt)
+        assert code == 0
+        model, spec = parse_config(config_path)
+        want = price_summary(model, spec, 1.0, 100.0)
+        if fmt == "text":
+            lines = dict(l.split() for l in out.strip().splitlines())
+            assert list(lines) == ["euro", "amer", "eep", "eep_diffusion", "eep_jump", "eep%", "dc%"]
+            assert lines["eep_diffusion"] == f"{want['eep_diffusion']:.3f}"
+            assert lines["eep_jump"] == f"{want['eep_jump']:.3f}"
+            return
+        if fmt == "json":
+            got = json.loads(out)
+            got.pop("manifest")
+        else:
+            (got,) = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(out))]
+        assert got == want
+
     def test_zero_spot_zero_everywhere(self, capsys, config_path):
         code, out = run_cli(capsys, "price", config_path, "--t", "1", "--x", "0",
                             "--quantity", "all", "--format", "json")
@@ -140,6 +161,26 @@ class TestErrors:
                      "--n", "3", f"--bump={bump}"])
         assert code == 2
         assert "bump" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unwritable_out_exit_2(self, capsys, config_path, tmp_path, fmt):
+        out_file = tmp_path / "missing" / "x.txt"
+        code = main(["price", config_path, "--t", "1", "--x", "100", "--format", fmt, "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        if fmt == "json":
+            error = json.loads(captured.out)["error"]
+            assert error["type"] == "ConfigError" and error["exit_code"] == 2
+            message = error["message"]
+        else:
+            assert captured.out == "" and captured.err.count("\n") == 1
+            message = captured.err
+        assert f"cannot write output {out_file}" in message
+
+    def test_negative_seed_named(self, capsys, config_path):
+        code = main(["verify", config_path, "--t", "0.05", "--x", "100", "--paths", "10000", "--seed", "-1"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_json_error_field(self, capsys, tmp_path):
         cfg = tmp_path / "nodiv.cfg"
@@ -207,6 +248,26 @@ class TestOutputFiles:
         assert body.strip() and "created_utc" not in body
         manifest = json.loads((tmp_path / "result.manifest.json").read_text())
         assert manifest["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv, gs_order, parameters", [
+        pytest.param(["table", "1"], 7, {"table_id": 1}, id="table"),
+        pytest.param(["greeks", "CFG", "--t", "1", "--x-lo", "98", "--x-hi", "102", "--n", "3"], 7,
+                     {"t": 1.0, "x_lo": 98.0, "x_hi": 102.0, "n": 3, "quantity": "euro", "bump": 1e-3,
+                      "diff_against": None}, id="greeks"),
+        pytest.param(["roots", "CFG", "--alpha", "5.05"], None, {"alpha": 5.05, "format": "text"}, id="roots"),
+        pytest.param(["verify", "CFG", "--t", "0.05", "--x", "100", "--paths", "10000", "--gs-order", "6"], 6,
+                     {"t": 0.05, "x": 100.0, "paths": 10_000, "dt": 1e-3, "seed": 0, "format": "text"},
+                     id="verify"),
+    ])
+    def test_manifest_holds_every_parsed_argument(self, capsys, config_path, tmp_path, argv, gs_order,
+                                                  parameters):
+        # roots has no inversion order: its manifest says so with null
+        out_file = tmp_path / "result"
+        argv = [config_path if a == "CFG" else a for a in argv] + ["--out", str(out_file)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "result.manifest.json").read_text())
+        assert manifest["gs_order"] == gs_order
+        assert manifest["parameters"] == parameters
 
     def test_json_embeds_manifest_without_sibling(self, capsys, config_path, tmp_path):
         out_file = tmp_path / "roots.json"

@@ -29,6 +29,11 @@ class TestPathConfig:
         with pytest.raises(ValueError):
             PathConfig(n_paths=10_000, dt=2e-3)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            PathConfig(n_paths=10_000, seed=seed)
+
     def test_budget(self, kou_model):
         # 1e5 paths * 1e8 steps exceed the 4e9 budget; the check raises
         # before any path array is allocated

@@ -30,3 +30,17 @@ def test_import_loads_no_quadrature_and_exports_no_oracles():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert json.loads(done.stdout) == [[], []]
+
+
+def test_benchmark_tracing_names_resolve(monkeypatch):
+    # the benchmark reaches the engine by name: its tracer wraps module
+    # attributes, and its cold rounds clear the two solve caches.  A rename
+    # in the library must fail here, not silently in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import BOUNDARIES
+
+    for name, sites in BOUNDARIES.items():
+        for module, attr in sites:
+            assert callable(getattr(module, attr, None)), (name, module.__name__, attr)
+    for solve in (hejdstep.solve_european_mr, hejdstep.solve_american_mr):
+        assert callable(solve.cache_info) and callable(solve.cache_clear)

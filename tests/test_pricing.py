@@ -15,6 +15,7 @@ from hejdstep import (
     DownOutStepSpec,
     HejdModel,
     NoBoundaryError,
+    QUANTITIES,
     PathConfig,
     SingularSystemError,
     eval_american_mr,
@@ -224,6 +225,16 @@ class TestAmericanSystem:
                       down_weights=(0.3,), down_rates=(50.0,))
         with pytest.raises(NoBoundaryError):
             solve_american_mr(m, step_spec, THETA)
+
+    def test_zero_dividend_price_names_the_abscissa(self, step_spec):
+        # the calendar-time price reaches the solver's error, annotated with
+        # the abscissa; a zero spot is worth zero without a solve
+        m = HejdModel(r=0.05, delta=0.0, sigma=0.2, lam=1.0,
+                      up_weights=(0.7,), up_rates=(25.0,),
+                      down_weights=(0.3,), down_rates=(50.0,))
+        with pytest.raises(NoBoundaryError, match="theta="):
+            price_time_domain(m, step_spec, 1.0, 100.0, "amer")
+        assert [price_time_domain(m, step_spec, 1.0, 0.0, q) for q in QUANTITIES] == [0.0] * 5
 
 
 class TestOrderingsAcrossKnockRates:
