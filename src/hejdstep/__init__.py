@@ -29,7 +29,6 @@ from .model import (
     HejdModel,
     dual_model,
     laplace_exponent,
-    laplace_exponent_derivative,
 )
 from .montecarlo import (
     DualityReport,
@@ -58,7 +57,7 @@ __all__ = [
     "__version__",
     # model
     "HejdModel", "DownOutStepSpec",
-    "laplace_exponent", "laplace_exponent_derivative", "dual_model",
+    "laplace_exponent", "dual_model",
     # roots
     "RootSet", "find_roots",
     # pricing

@@ -40,6 +40,18 @@ def _write_output(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
+def _json(doc: dict) -> str:
+    """doc as RFC 8259 JSON: each non-finite float (an undefined ratio or
+    z-score) is written as null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(w) for k, w in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(w) for w in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(finite(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -146,7 +158,10 @@ def _cmd_roots(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec
 
 
 def _cmd_verify(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
-    cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
+    try:
+        cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     engine = price_time_domain(model, spec, args.t, args.x, "euro", gs_weights(args.gs_order))
     duality = verify_duality(model, spec, args.t, args.x, cfg)
     mc = duality.call  # the stream-0 call estimate, as mc_euro_step_price gives it
@@ -239,13 +254,13 @@ def main(argv: list[str] | None = None) -> int:
         doc, body = args.func(args, model, spec)
         manifest = _manifest(args, model, spec)
         if fmt == "json":
-            _write_output(json.dumps({**doc, "manifest": manifest}, indent=2, sort_keys=True), args.out)
+            _write_output(_json({**doc, "manifest": manifest}), args.out)
             return 0
         if fmt == "csv":
             body = _csv(doc, [doc.values()])
         _write_output(body, args.out)
         if args.out:
-            _write_output(json.dumps(manifest, indent=2, sort_keys=True), args.out + ".manifest.json")
+            _write_output(_json(manifest), args.out + ".manifest.json")
         return 0
     except ConfigError as exc:
         _report_error(exc, fmt, code=2)

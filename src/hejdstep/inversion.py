@@ -19,6 +19,7 @@ from typing import Callable
 from .errors import OrderError
 from .model import DownOutStepSpec, HejdModel
 from .pricing import (
+    _check_spot,
     eval_american_mr,
     eval_eep_split_mr,
     eval_european_mr,
@@ -147,9 +148,7 @@ def price_time_domain(
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
+    x = _check_spot(x)
     if x == 0.0:
         return 0.0
     raw = gs_invert(_transform_function(model, spec, x, quantity), t, cfg)

@@ -30,7 +30,6 @@ __all__ = [
     "HejdModel",
     "DownOutStepSpec",
     "laplace_exponent",
-    "laplace_exponent_derivative",
     "dual_model",
 ]
 
@@ -67,8 +66,10 @@ class HejdModel:
     # the plain-float Laplace-exponent kernel (hot path in root finding)
     _up: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _down: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
-    _zeta: float = field(init=False, repr=False, compare=False)
-    _drift: float = field(init=False, repr=False, compare=False)
+    # mean percentage jump size E[e^J - 1] (0 for the no-jump model)
+    zeta: float = field(init=False, repr=False, compare=False)
+    # martingale-consistent drift of the log-price
+    drift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "up_weights", _as_float_tuple(self.up_weights))
@@ -118,8 +119,8 @@ class HejdModel:
             p, xi = np.asarray(self.up_weights), np.asarray(self.up_rates)
             q, eta = np.asarray(self.down_weights), np.asarray(self.down_rates)
             zeta = float(np.sum(p * xi / (xi - 1.0)) + np.sum(q * eta / (eta + 1.0)) - 1.0)
-        object.__setattr__(self, "_zeta", zeta)
-        object.__setattr__(self, "_drift", self.r - self.delta - self.lam * zeta - 0.5 * self.sigma**2)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "drift", self.r - self.delta - self.lam * zeta - 0.5 * self.sigma**2)
 
     @property
     def m(self) -> int:
@@ -128,16 +129,6 @@ class HejdModel:
     @property
     def n(self) -> int:
         return len(self.down_rates)
-
-    @property
-    def zeta(self) -> float:
-        """Mean percentage jump size E[e^J - 1] (0 for the no-jump model)."""
-        return self._zeta
-
-    @property
-    def drift(self) -> float:
-        """Martingale-consistent drift of the log-price."""
-        return self._drift
 
     @property
     def poles(self) -> tuple[float, ...]:
@@ -220,13 +211,6 @@ def laplace_exponent(model: HejdModel, theta: float) -> float:
     theta = float(theta)
     _check_pole(model, theta)
     return _phi_raw(model, theta)
-
-
-def laplace_exponent_derivative(model: HejdModel, theta: float) -> float:
-    """d Phi / d theta, same domain as laplace_exponent."""
-    theta = float(theta)
-    _check_pole(model, theta)
-    return _phi_prime_raw(model, theta)
 
 
 def dual_model(model: HejdModel) -> HejdModel:

@@ -70,10 +70,6 @@ class McEstimate:
     value: float
     std_error: float
 
-    def __post_init__(self) -> None:
-        if self.std_error < 0.0:
-            raise ValueError("std_error cannot be negative")
-
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -264,7 +260,12 @@ def simulate_terminal(
     return s_out, occ_out
 
 
-def _estimate(samples: np.ndarray) -> McEstimate:
+def _estimate(
+    r: float, horizon: float, spec: DownOutStepSpec, occupation: np.ndarray, intrinsic: np.ndarray
+) -> McEstimate:
+    """Mean and standard error of the discounted payoffs exp(-r horizon)
+    exp(knock_rate (seasoning + occupation)) intrinsic."""
+    samples = math.exp(-r * horizon) * np.exp(spec.knock_rate * (spec.seasoning + occupation)) * intrinsic
     value = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
     return McEstimate(value=value, std_error=se)
@@ -280,9 +281,7 @@ def mc_euro_step_price(
     """Monte-Carlo value of the European step call (seasoning included),
     simulated on stream 0."""
     s_t, occ = simulate_terminal(model, x, spec.barrier, horizon, cfg)
-    disc = math.exp(-model.r * horizon)
-    payoff = disc * np.exp(spec.knock_rate * (spec.seasoning + occ)) * np.maximum(s_t - spec.strike, 0.0)
-    return _estimate(payoff)
+    return _estimate(model.r, horizon, spec, occ, np.maximum(s_t - spec.strike, 0.0))
 
 
 def verify_duality(
@@ -305,14 +304,7 @@ def verify_duality(
     dual = dual_model(model)
     barrier_put = math.inf if spec.barrier == 0.0 else x * spec.strike / spec.barrier
     s_t, occ_below = simulate_terminal(dual, spec.strike, barrier_put, horizon, cfg, stream=1)
-    occ_above = horizon - occ_below
-    disc = math.exp(-dual.r * horizon)
-    payoff = (
-        disc
-        * np.exp(spec.knock_rate * (spec.seasoning + occ_above))
-        * np.maximum(x - s_t, 0.0)
-    )
-    put = _estimate(payoff)
+    put = _estimate(dual.r, horizon, spec, horizon - occ_below, np.maximum(x - s_t, 0.0))
 
     diff = call.value - put.value
     pooled = math.hypot(call.std_error, put.std_error)

@@ -128,10 +128,6 @@ class MrAmericanSolution:
     residual_inf: float
     cond_estimate: float
 
-    @property
-    def theta(self) -> float:
-        return self.european.theta
-
 
 def _effective_log_barrier(spec: DownOutStepSpec) -> tuple[float, float | None]:
     """(effective barrier, its log) with the near-degenerate L ~ K clamp."""
@@ -416,11 +412,17 @@ def _eval_corridor(euro: MrEuropeanSolution, w: np.ndarray, log_upper: float, x:
     return out
 
 
-def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
-    """Randomized European price at spot x (middle branch at the seams)."""
+def _check_spot(x: float) -> float:
+    """x as a float, or ValueError unless it is finite and non-negative."""
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"spot must be finite and non-negative, got {x!r}")
+    return x
+
+
+def eval_european_mr(sol: MrEuropeanSolution, x: float) -> float:
+    """Randomized European price at spot x (middle branch at the seams)."""
+    x = _check_spot(x)
     if x == 0.0:
         return 0.0
     if x <= sol.spec.strike:
@@ -579,9 +581,7 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
 
 def eval_eep_mr(sol: MrAmericanSolution, x: float) -> float:
     """Randomized early-exercise premium at spot x."""
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
+    x = _check_spot(x)
     if x == 0.0:
         return 0.0
     if x >= sol.boundary:
@@ -597,17 +597,15 @@ def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, 
     evaluated from the unsplit coefficients, so total == diffusion + jump is
     a solver property, not an identity of this function.
     """
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"spot must be finite and non-negative, got {x!r}")
+    x = _check_spot(x)
     total = eval_eep_mr(sol, x)
     if x == 0.0:
         return 0.0, 0.0, 0.0
-    gap_at = lambda s: s - sol.european.spec.strike - eval_european_mr(sol.european, s)
     if abs(x - sol.boundary) <= 1e-12 * sol.boundary:
-        return total, gap_at(x), 0.0
+        return total, x - sol.european.spec.strike - eval_european_mr(sol.european, x), 0.0
     if x > sol.boundary:
-        return total, 0.0, gap_at(x)
+        # the total is already the exercise gap there
+        return total, 0.0, total
     euro, b = sol.european, sol.log_boundary
     return total, _eval_corridor(euro, sol.coef[1], b, x), _eval_corridor(euro, sol.coef[2], b, x)
 

@@ -92,17 +92,14 @@ def _bisect_newton(model: HejdModel, alpha: float, lo: float, hi: float) -> floa
         width = b - a
         if width <= 2.0 * math.ulp(max(abs(a), abs(b))):
             break
-        # Newton step once the bracket is tight enough for it to be safe
-        took_newton = False
+        # Newton step once the bracket is tight enough for it to be safe,
+        # else (and wherever it leaves the bracket) the bisection midpoint
+        xn = math.nan
         if width < 0.125 * (hi - lo):
             dfx = _phi_prime_raw(model, x)
             if dfx != 0.0:
                 xn = x - fx / dfx
-                if a < xn < b:
-                    x = xn
-                    took_newton = True
-        if not took_newton:
-            x = 0.5 * (a + b)
+        x = xn if a < xn < b else 0.5 * (a + b)
         if abs(fx) <= tol and width <= 1e-9 * max(1.0, abs(x)):
             break
     resid = abs(best_f)
@@ -142,48 +139,37 @@ def _pole_side_point(
     )
 
 
-def _interior_root(model: HejdModel, alpha: float, lo: float, hi: float) -> float:
-    """Root in a bounded interlacing interval.
+def _root(model: HejdModel, alpha: float, lo: float, hi: float) -> float:
+    """Root in one interlacing interval (lo, hi) of root_brackets.
 
-    At a pole endpoint the exponent diverges: to -inf just above an up-rate
-    pole and just below a down-rate pole, to +inf on the other sides.  At a
-    zero endpoint f(0) = -alpha < 0 exactly.
+    At a pole end the exponent diverges: to -inf just above an up-rate pole
+    and just below a down-rate pole, to +inf on the other sides.  At a zero
+    end f(0) = -alpha < 0 exactly.  An infinite end is bracketed by
+    geometric doubling from the finite end (the sigma^2 theta^2 / 2 term
+    dominates far out).
     """
-    gap = hi - lo
-    if lo == 0.0:
-        a = 0.0
-    else:
+    finite = lo if hi == math.inf else hi if lo == -math.inf else None
+    offset = _POLE_OFFSET_FRAC * (hi - lo if finite is None else max(1.0, abs(finite)))
+    if lo != 0.0 and lo != -math.inf:
         # lo is an up-rate pole (beta side, limit -inf) or a negated
         # down-rate pole (gamma side, limit +inf)
-        a = _pole_side_point(model, alpha, lo, +1.0, want_positive=lo < 0.0,
-                             init_offset=_POLE_OFFSET_FRAC * gap)
-    if hi == 0.0:
-        b = 0.0
-    else:
-        b = _pole_side_point(model, alpha, hi, -1.0, want_positive=hi > 0.0,
-                             init_offset=_POLE_OFFSET_FRAC * gap)
-    return _bisect_newton(model, alpha, a, b)
-
-
-def _outer_root(model: HejdModel, alpha: float, pole: float, sign: float) -> float:
-    """Outermost root beyond the last pole on the side of ``sign`` (+1 or -1),
-    bracketed by geometric doubling (the sigma^2 theta^2 / 2 term dominates
-    far out)."""
-    sigma2 = model.sigma**2
-    # diffusion-only estimate of the far root, used to seed the doubling
-    disc = model.drift**2 + 2.0 * sigma2 * alpha
-    seed = (-model.drift + math.sqrt(disc)) / sigma2
-    near = 0.0 if pole == 0.0 else _pole_side_point(
-        model, alpha, pole, sign, want_positive=False,
-        init_offset=_POLE_OFFSET_FRAC * max(1.0, abs(pole)),
-    )
-    far = sign * max(2.0 * abs(near), seed, 1.0)
-    while _phi_raw(model, far) - alpha < 0.0:
-        far *= 2.0
-        if abs(far) > _DOUBLING_CAP:
-            side = "positive" if sign > 0.0 else "negative"
-            raise BracketError(f"outer bracket doubling cap reached ({side} side)")
-    return _bisect_newton(model, alpha, min(near, far), max(near, far))
+        lo = _pole_side_point(model, alpha, lo, +1.0, want_positive=lo < 0.0, init_offset=offset)
+    if hi != 0.0 and hi != math.inf:
+        hi = _pole_side_point(model, alpha, hi, -1.0, want_positive=hi > 0.0, init_offset=offset)
+    if finite is not None:
+        sign, near = (1.0, lo) if hi == math.inf else (-1.0, hi)
+        sigma2 = model.sigma**2
+        # diffusion-only estimate of the far root, used to seed the doubling
+        disc = model.drift**2 + 2.0 * sigma2 * alpha
+        seed = (-model.drift + math.sqrt(disc)) / sigma2
+        far = sign * max(2.0 * abs(near), seed, 1.0)
+        while _phi_raw(model, far) - alpha < 0.0:
+            far *= 2.0
+            if abs(far) > _DOUBLING_CAP:
+                side = "positive" if sign > 0.0 else "negative"
+                raise BracketError(f"outer bracket doubling cap reached ({side} side)")
+        lo, hi = min(near, far), max(near, far)
+    return _bisect_newton(model, alpha, lo, hi)
 
 
 def root_brackets(model: HejdModel) -> list[tuple[float, float]]:
@@ -201,20 +187,14 @@ def find_roots(model: HejdModel, alpha: float) -> RootSet:
     if not alpha > 0.0:
         raise ValueError("alpha must be strictly positive")
 
-    brackets = root_brackets(model)
-    up, down = brackets[: model.m + 1], brackets[model.m + 1 :]
-    betas = [_interior_root(model, alpha, lo, hi) for lo, hi in up[:-1]]
-    betas.append(_outer_root(model, alpha, up[-1][0], +1.0))
-    gammas = [_interior_root(model, alpha, lo, hi) for lo, hi in down[:-1]]
-    gammas.append(_outer_root(model, alpha, down[-1][1], -1.0))
-
+    found = [_root(model, alpha, lo, hi) for lo, hi in root_brackets(model)]
     resid = max(
-        abs(_phi_raw(model, t) - alpha) for t in betas + gammas
+        abs(_phi_raw(model, t) - alpha) for t in found
     )
     roots = RootSet(
         alpha=alpha,
-        betas=np.asarray(betas, dtype=float),
-        gammas=np.asarray(gammas, dtype=float),
+        betas=np.asarray(found[: model.m + 1], dtype=float),
+        gammas=np.asarray(found[model.m + 1 :], dtype=float),
         max_residual=resid,
     )
     roots.validate(model)

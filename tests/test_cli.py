@@ -9,9 +9,9 @@ import math
 
 import pytest
 
-from hejdstep import PathConfig, mc_euro_step_price, price_summary, pricing
+from hejdstep import ConfigError, PathConfig, mc_euro_step_price, price_summary, pricing
 from hejdstep.cli import main
-from hejdstep.config import parse_config
+from hejdstep.config import parse_config, parse_config_text
 
 KOU_CONFIG = """\
 # lambda-ladder market, step contract
@@ -178,9 +178,24 @@ class TestErrors:
         assert f"cannot write output {out_file}" in message
 
     def test_negative_seed_named(self, capsys, config_path):
-        code = main(["verify", config_path, "--t", "0.05", "--x", "100", "--paths", "10000", "--seed", "-1"])
-        assert code == 3
-        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        # invalid simulation settings are configuration errors
+        for setting, message in (
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--paths", "5000"], "n_paths must be at least 10_000"),
+            (["--dt", "0.01"], "dt must lie in (0, 1e-3] years"),
+        ):
+            code = main(["verify", config_path, "--t", "0.05", "--x", "100", "--paths", "10000", *setting])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--x-lo", "102", "--x-hi", "98", "--n", "3"], "need x_lo < x_hi"),
+        (["--x-lo", "98", "--x-hi", "98", "--n", "3"], "need x_lo < x_hi"),
+        (["--x-lo", "98", "--x-hi", "102", "--n", "2"], "need at least 3 grid points"),
+    ])
+    def test_greeks_grid_must_be_valid(self, capsys, config_path, grid, message):
+        assert main(["greeks", config_path, "--t", "1", *grid]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_json_error_field(self, capsys, tmp_path):
         cfg = tmp_path / "nodiv.cfg"
@@ -225,6 +240,42 @@ class TestErrors:
         assert error["type"] == "ConvergenceError"
         assert error["message"].startswith("american boundary search: ")
         assert "log-boundary bracket [" in error["message"] and "theta=" in error["message"]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("edit, message", [
+        (("r = 0.05", "r = abc"), "cannot parse numeric value(s) from ' abc'"),
+        (("r = 0.05", "r 0.05"), "<config>:2: expected 'key = value', got 'r 0.05'"),
+        (("r = 0.05", "r = 0.05\nr = 0.06"), "<config>:3: duplicate key 'r'"),
+        (("K = 100", ""), "<config>: missing required key 'K'"),
+        (("sigma = 0.2", "sigma = 0.2 0.3"), "<config>: key 'sigma' must hold a single value"),
+        (("sigma = 0.2", "sigma = 0"), "<config>: sigma must be strictly positive"),
+        (("L = 95", "L = 110"), "<config>: need 0 <= barrier <= strike < inf"),
+    ])
+    def test_faults_raise_config_error(self, edit, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(KOU_CONFIG.replace(*edit))
+        assert str(info.value) == message
+
+
+class TestJson:
+    @pytest.mark.parametrize("argv, undefined", [
+        pytest.param(["price", "CFG", "--t", "1", "--x", "0", "--quantity", "all"], ("eep_pct", "dc_pct"),
+                     id="price"),
+        # every payoff of both sides is zero, and so are both standard errors
+        pytest.param(["verify", "CFG", "--t", "0.05", "--x", "0.001", "--paths", "10000"],
+                     ("z_engine_vs_mc", "z_duality"), id="verify"),
+    ])
+    def test_non_finite_values_are_null(self, capsys, config_path, argv, undefined):
+        argv = [config_path if a == "CFG" else a for a in argv]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert all(doc[key] is None for key in undefined)
 
 
 class TestOutputFiles:

@@ -14,8 +14,8 @@ from hejdstep import (
     PoleError,
     dual_model,
     laplace_exponent,
-    laplace_exponent_derivative,
 )
+from hejdstep.model import _phi_prime_raw
 from conftest import random_model
 from oracles import QuadratureError, generator_apply, levy_exponent
 
@@ -52,7 +52,29 @@ class TestModelValidation:
         assert m.n == 0 and m.m == 1
         assert laplace_exponent(m, 1.0) == pytest.approx(m.r - m.delta, abs=1e-12)
 
+    @pytest.mark.parametrize("params, message", [
+        (dict(r=math.nan), "model scalars must be finite"),
+        (dict(sigma=math.inf), "model scalars must be finite"),
+        (dict(r=-0.01), "r and delta must be non-negative"),
+        (dict(delta=-0.01), "r and delta must be non-negative"),
+        (dict(lam=-1.0), "lam must be non-negative"),
+        (dict(up_weights=(0.4, 0.3)), "up_weights and up_rates must have equal length"),
+        (dict(down_rates=(50.0, 60.0)), "down_weights and down_rates must have equal length"),
+        (dict(up_weights=(), up_rates=(), down_weights=(), down_rates=()), "lam > 0 requires a jump mixture"),
+        (dict(up_weights=(1.0,), down_weights=(0.0,)), "mixture weights must be strictly positive"),
+        (dict(down_weights=(0.2, 0.1), down_rates=(50.0, 40.0)), "down_rates must be strictly increasing"),
+        (dict(down_rates=(0.0,)), "down_rates must be positive"),
+    ])
+    def test_invalid_parameters_rejected(self, params, message):
+        kou = dict(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),
+                   down_weights=(0.3,), down_rates=(50.0,))
+        with pytest.raises(ValueError) as info:
+            HejdModel(**{**kou, **params})
+        assert str(info.value) == message
+
     def test_contract_validation(self):
+        with pytest.raises(ValueError, match="contract parameters must be finite"):
+            DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-math.inf)
         with pytest.raises(ValueError):
             DownOutStepSpec(strike=100.0, barrier=110.0)  # barrier above strike
         with pytest.raises(ValueError):
@@ -112,7 +134,7 @@ class TestLaplaceExponent:
         h = 1e-6
         for t in (-10.0, 0.2, 3.0, 20.0):
             fd = (laplace_exponent(kou_model, t + h) - laplace_exponent(kou_model, t - h)) / (2 * h)
-            assert laplace_exponent_derivative(kou_model, t) == pytest.approx(fd, rel=1e-7)
+            assert _phi_prime_raw(kou_model, t) == pytest.approx(fd, rel=1e-7)
 
 
 class TestLevyExponent:

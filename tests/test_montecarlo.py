@@ -28,6 +28,8 @@ class TestPathConfig:
             PathConfig(n_paths=5000)
         with pytest.raises(ValueError):
             PathConfig(n_paths=10_000, dt=2e-3)
+        with pytest.raises(ValueError, match="batch_size must be at least 2"):
+            PathConfig(n_paths=10_000, batch_size=1)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "3"])
     def test_seed_must_be_a_non_negative_int(self, seed):

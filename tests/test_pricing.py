@@ -101,6 +101,11 @@ class TestEuropeanSystem:
     def test_zero_at_origin(self, kou_euro):
         assert eval_european_mr(kou_euro, 0.0) == 0.0
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5])
+    def test_theta_must_be_positive(self, kou_model, step_spec, theta):
+        with pytest.raises(ValueError, match="theta must be strictly positive"):
+            solve_european_mr(kou_model, step_spec, theta)
+
     def test_linear_growth_at_infinity(self, kou_euro):
         x = 1e9
         ratio = eval_european_mr(kou_euro, x) / x
@@ -275,6 +280,10 @@ class TestSpotValidation:
                               (eval_eep_split_mr, kou_amer), (eval_american_mr, kou_amer)):
             with pytest.raises(ValueError, match="spot"):
                 evaluate(sol, x)
+
+    def test_zero_spot_premium_is_zero(self, kou_amer):
+        assert eval_eep_mr(kou_amer, 0.0) == 0.0
+        assert eval_eep_split_mr(kou_amer, 0.0) == (0.0, 0.0, 0.0)
 
 
 class TestEquationResidual:
