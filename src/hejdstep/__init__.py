@@ -45,7 +45,6 @@ from .pricing import (
     eval_eep_mr,
     eval_eep_split_mr,
     eval_european_mr,
-    seasoned_price,
     solve_american_mr,
     solve_european_mr,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "MrEuropeanSolution", "MrAmericanSolution",
     "solve_european_mr", "eval_european_mr", "solve_american_mr",
     "eval_eep_mr", "eval_eep_split_mr", "eval_american_mr",
-    "seasoned_price",
     # inversion
     "GsConfig", "gs_weights", "gs_invert", "price_time_domain", "price_summary",
     "QUANTITIES", "DEFAULT_GS_ORDER",

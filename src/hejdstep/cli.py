@@ -1,8 +1,8 @@
 """Command-line front end: price, table, greeks, roots, verify.
 
-Exit codes: 0 success, 2 configuration errors, 3 numerical errors.  JSON
-output embeds the run manifest; csv/text written to --out gets a sibling
-<out>.manifest.json; csv/text on stdout omits the manifest.
+Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
+errors.  JSON output embeds the run manifest; csv/text written to --out gets
+a sibling <out>.manifest.json; csv/text on stdout omits the manifest.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import parse_config
-from .errors import ConfigError, HejdStepError
+from .errors import ConfigError, HejdStepError, OrderError
 from .inversion import DEFAULT_GS_ORDER, QUANTITIES, gs_weights, price_summary, price_time_domain
 from .model import DownOutStepSpec, HejdModel
 from .montecarlo import PathConfig, verify_duality
@@ -158,10 +158,7 @@ def _cmd_roots(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec
 
 
 def _cmd_verify(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
-    try:
-        cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
     engine = price_time_domain(model, spec, args.t, args.x, "euro", gs_weights(args.gs_order))
     duality = verify_duality(model, spec, args.t, args.x, cfg)
     mc = duality.call  # the stream-0 call estimate, as mc_euro_step_price gives it
@@ -262,10 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             _write_output(_json(manifest), args.out + ".manifest.json")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OrderError, ValueError) as exc:
         _report_error(exc, fmt, code=2)
         return 2
-    except (HejdStepError, ValueError) as exc:
+    except HejdStepError as exc:
         _report_error(exc, fmt, code=3)
         return 3
 

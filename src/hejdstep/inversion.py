@@ -5,12 +5,13 @@ the calendar-time price, so inverting it on the real axis with the
 Gaver-Stehfest weights recovers the time-domain price.  American prices and
 early-exercise premiums are not exact transforms, but they carry the same
 structure and are inverted with the same weights; the bias of this heuristic
-is not corrected and not yet reported.
+is not corrected (README, "Numerical notes").
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,6 @@ from .pricing import (
     eval_american_mr,
     eval_eep_split_mr,
     eval_european_mr,
-    seasoned_price,
     solve_american_mr,
     solve_european_mr,
 )
@@ -87,13 +87,13 @@ def gs_weights(order: int) -> GsConfig:
     return GsConfig(order=order, weights=tuple(float(z) for z in exact), weights_exact=tuple(exact))
 
 
-def gs_invert(F: Callable[[float], float], t: float, cfg: GsConfig | None = None) -> float:
+def gs_invert(F: Callable[[float], float | tuple], t: float, cfg: GsConfig | None = None) -> float | tuple:
     """Invert the transform F at time t: sum_k zeta_k F(k log2 / t).
 
     Evaluations run in ascending k and the weighted sum is accumulated with
     fsum, so the result is deterministic regardless of how F parallelizes
-    internally.  Errors raised by F are re-raised annotated with the
-    offending abscissa.
+    internally; a tuple-valued F is inverted component by component.  Errors
+    raised by F are re-raised annotated with the offending abscissa.
 
     The truncation error is the method's own, not a rounding effect.  At the
     default order 7 the exact sum for theta/(theta+a) differs from exp(-a t)
@@ -108,27 +108,48 @@ def gs_invert(F: Callable[[float], float], t: float, cfg: GsConfig | None = None
         raise ValueError(f"t must be finite and strictly positive, got {t!r}")
     cfg = cfg or gs_weights(DEFAULT_GS_ORDER)
     log2_over_t = math.log(2.0) / t
-    terms = []
-    for k, zeta_k in enumerate(cfg.weights, start=1):
+    values = []
+    for k in range(1, len(cfg.weights) + 1):
         theta_k = k * log2_over_t
         try:
-            value = F(theta_k)
+            values.append(F(theta_k))
         except Exception as exc:
             exc.args = (f"{exc}, while evaluating the transform at theta={theta_k:.9g} (k={k}, t={t})",)
             raise
-        terms.append(zeta_k * value)
-    return math.fsum(terms)
+    if isinstance(values[0], tuple):
+        return tuple([math.fsum(map(operator.mul, cfg.weights, column)) for column in zip(*values)])
+    return math.fsum(map(operator.mul, cfg.weights, values))
 
 
-def _transform_function(
-    model: HejdModel, spec: DownOutStepSpec, x: float, quantity: str
-) -> Callable[[float], float]:
-    if quantity == "euro":
-        return lambda th: eval_european_mr(solve_european_mr(model, spec, th), x)
-    if quantity == "amer":
-        return lambda th: eval_american_mr(solve_american_mr(model, spec, th), x)
-    part = ("eep", "eep_diffusion", "eep_jump").index(quantity)  # (total, diffusion, jump)
-    return lambda th: eval_eep_split_mr(solve_american_mr(model, spec, th), x)[part]
+def _transform(model: HejdModel, spec: DownOutStepSpec, x: float, quantities: tuple[str, ...]) -> Callable:
+    """theta -> randomized values of the quantities at spot x.  All five share
+    one American solve, amer = euro + eep as eval_american_mr sums it; one
+    quantity alone runs only its own evaluator (euro: no American solve)."""
+    if quantities == QUANTITIES:
+        def F(th):
+            sol = solve_american_mr(model, spec, th)
+            euro = eval_european_mr(sol.european, x)
+            eep, diffusion, jump = eval_eep_split_mr(sol, x)
+            return euro, euro + eep, eep, diffusion, jump
+        return F
+    if quantities == ("euro",):
+        return lambda th: (eval_european_mr(solve_european_mr(model, spec, th), x),)
+    if quantities == ("amer",):
+        return lambda th: (eval_american_mr(solve_american_mr(model, spec, th), x),)
+    part = ("eep", "eep_diffusion", "eep_jump").index(quantities[0])  # (total, diffusion, jump)
+    return lambda th: (eval_eep_split_mr(solve_american_mr(model, spec, th), x)[part],)
+
+
+def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
+            quantities: tuple[str, ...], cfg: GsConfig | None) -> dict[str, float]:
+    """Calendar-time values of the quantities from one inversion, times the
+    seasoning factor exp(knock_rate * seasoning) of accrued occupation time."""
+    x = _check_spot(x)
+    if x == 0.0:
+        return dict.fromkeys(quantities, 0.0)
+    raw = gs_invert(_transform(model, spec, x, quantities), t, cfg)
+    factor = math.exp(spec.knock_rate * spec.seasoning)
+    return {q: factor * value for q, value in zip(quantities, raw)}
 
 
 def price_time_domain(
@@ -139,20 +160,12 @@ def price_time_domain(
     quantity: str = "euro",
     cfg: GsConfig | None = None,
 ) -> float:
-    """Calendar-time value of the selected quantity at maturity t and spot x.
-
-    Composes the randomized solve/eval at each abscissa with the inversion
-    and applies the seasoning factor for already-accrued occupation time.
-    The American-family quantities use the heuristic inversion of the
-    randomized quantities (they are not strict transforms).
-    """
+    """Calendar-time value of the selected quantity at maturity t and spot x,
+    seasoning included.  The American-family quantities use the heuristic
+    inversion of the randomized quantities (they are not strict transforms)."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    x = _check_spot(x)
-    if x == 0.0:
-        return 0.0
-    raw = gs_invert(_transform_function(model, spec, x, quantity), t, cfg)
-    return seasoned_price(raw, spec)
+    return _prices(model, spec, t, x, (quantity,), cfg)[quantity]
 
 
 def price_summary(
@@ -165,10 +178,10 @@ def price_summary(
     """euro/amer/eep values plus the premium share of the American price
     (eep_pct) and the diffusion share of the premium (dc_pct), in percent.
 
-    The randomized solves are cached per abscissa, so the five inversions
-    share all linear-system work.
+    All five quantities come from one inversion pass, each equal to its
+    price_time_domain value bit for bit.
     """
-    out = {q: price_time_domain(model, spec, t, x, q, cfg) for q in QUANTITIES}
+    out = _prices(model, spec, t, x, QUANTITIES, cfg)
     out["eep_pct"] = 100.0 * out["eep"] / out["amer"] if out["amer"] > 0.0 else math.nan
     out["dc_pct"] = 100.0 * out["eep_diffusion"] / out["eep"] if out["eep"] != 0.0 else math.nan
     return out

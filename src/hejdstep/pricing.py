@@ -49,7 +49,6 @@ __all__ = [
     "eval_eep_mr",
     "eval_eep_split_mr",
     "eval_american_mr",
-    "seasoned_price",
 ]
 
 _COND_CAP = 1e14
@@ -613,10 +612,3 @@ def eval_eep_split_mr(sol: MrAmericanSolution, x: float) -> tuple[float, float, 
 def eval_american_mr(sol: MrAmericanSolution, x: float) -> float:
     """Randomized American price: European part plus premium."""
     return eval_european_mr(sol.european, x) + eval_eep_mr(sol, x)
-
-
-def seasoned_price(raw_price: float, spec: DownOutStepSpec) -> float:
-    """Scale a freshly-initiated price by the already-accrued knock-out
-    factor exp(knock_rate * seasoning)."""
-    return math.exp(spec.knock_rate * spec.seasoning) * raw_price
-

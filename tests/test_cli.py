@@ -148,12 +148,27 @@ class TestErrors:
         code = main(["price", str(cfg), "--t", "1", "--x", "100", "--quantity", "amer"])
         assert code == 3
 
-    def test_non_finite_spot_exit_3(self, capsys, config_path):
+    def test_non_finite_spot_exit_2(self, capsys, config_path):
         code = main(["price", config_path, "--t", "1", "--x", "nan"])
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: spot must be finite")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["price", "--t", "1", "--x", "-1"], "spot must be finite and non-negative, got -1.0"),
+        (["price", "--t", "-1", "--x", "100"], "t must be finite and strictly positive, got -1.0"),
+        (["price", "--t", "nan", "--x", "100"], "t must be finite and strictly positive, got nan"),
+        (["price", "--t", "1", "--x", "100", "--gs-order", "11"], "order must lie in [1, 10], got 11"),
+        (["price", "--t", "1", "--x", "100", "--gs-order", "0"], "order must lie in [1, 10], got 0"),
+        (["roots", "--alpha", "-1"], "alpha must be strictly positive"),
+    ])
+    def test_invalid_argument_exit_2(self, capsys, config_path, argv, message):
+        # an invalid value on the command line is an input error, not a numerical one
+        code = main([argv[0], config_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("bump", ["0", "-1e-3", "inf", "nan"])
     def test_bump_must_be_finite_and_positive(self, capsys, config_path, bump):

@@ -9,6 +9,7 @@ import pytest
 from hejdstep import (
     QUANTITIES,
     DownOutStepSpec,
+    HejdModel,
     OrderError,
     SingularSystemError,
     gs_invert,
@@ -16,6 +17,7 @@ from hejdstep import (
     price_summary,
     price_time_domain,
 )
+from hejdstep import inversion
 from conftest import exponential_pair_reference
 
 
@@ -97,6 +99,31 @@ class TestInvert:
             gs_invert(bad, 1.0, gs_weights(3))
         assert "theta=" in str(info.value)
 
+    def test_tuple_transform_matches_scalar_calls(self):
+        parts = (lambda th: th / (th + 1.0), lambda th: 1.0 / (th + 2.5), lambda th: math.exp(-th))
+        for t in (0.1, 1.0, 5.0):
+            got = gs_invert(lambda th: tuple(f(th) for f in parts), t)
+            assert got == tuple(gs_invert(f, t) for f in parts)
+
+    def test_tuple_error_annotation_matches_scalar(self):
+        def failing_at_k3(value):
+            thetas = []
+
+            def F(theta):
+                thetas.append(theta)
+                if len(thetas) == 3:
+                    raise SingularSystemError("synthetic failure")
+                return value
+            return F
+
+        messages = []
+        for F in (failing_at_k3(1.0), failing_at_k3((1.0, 2.0))):
+            with pytest.raises(SingularSystemError) as info:
+                gs_invert(F, 2.0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "(k=3, t=2.0)" in messages[0]
+
 
 class TestTimeDomain:
     def test_ladder_anchor(self, kou_model, step_spec):
@@ -146,3 +173,58 @@ class TestTimeDomain:
         assert s["amer"] == pytest.approx(s["euro"] + s["eep"], rel=1e-9)
         assert s["eep_pct"] == pytest.approx(100.0 * s["eep"] / s["amer"], rel=1e-12)
         assert s["dc_pct"] == pytest.approx(100.0 * s["eep_diffusion"] / s["eep"], rel=1e-12)
+
+
+HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
+                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
+                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
+
+
+class TestOnePass:
+    """price_summary inverts all five quantities in one pass; each must equal
+    its own single-quantity inversion bit for bit."""
+
+    @pytest.mark.parametrize("market, contract, x", [
+        # 115 and 120 lie inside the span 114.45-126.74 of the randomized
+        # exercise boundaries, 130 above it; 95 is the barrier
+        *(("kou", "step", x) for x in (90.0, 100.0, 115.0, 120.0, 130.0, 95.0, 0.0)),
+        ("kou", "seasoned", 100.0),
+        ("kou", "seasoned", 130.0),
+        ("kou", "zero-barrier", 100.0),
+        ("lambda=0", "step", 100.0),
+        ("m=n=3", "step", 100.0),
+    ])
+    def test_summary_equals_single_quantities(self, kou_model, bs_model, step_spec, market, contract, x):
+        model = {"kou": kou_model, "lambda=0": bs_model, "m=n=3": HEAVY}[market]
+        spec = {"step": step_spec, "seasoned": DownOutStepSpec(100.0, 95.0, -26.34, seasoning=0.05),
+                "zero-barrier": DownOutStepSpec(100.0, 0.0, 0.0)}[contract]
+        summary = price_summary(model, spec, 1.0, x)
+        for q in QUANTITIES:
+            assert price_time_domain(model, spec, 1.0, x, q) == summary[q], q
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        counts = {}
+        for name in ("gs_invert", "eval_european_mr", "eval_american_mr", "eval_eep_split_mr",
+                     "solve_european_mr", "solve_american_mr"):
+            def counted(*args, _name=name, _original=getattr(inversion, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(inversion, name, counted)
+        return counts
+
+    def test_summary_evaluates_once_per_abscissa(self, monkeypatch, kou_model, step_spec):
+        counts = self._count_calls(monkeypatch)
+        price_summary(kou_model, step_spec, 1.0, 100.0)
+        assert counts.get("gs_invert") == 1
+        assert counts.get("eval_european_mr") == counts.get("eval_eep_split_mr") == 14
+        assert "eval_american_mr" not in counts
+        assert counts.get("solve_american_mr") == 14 and "solve_european_mr" not in counts
+
+    def test_single_quantities_run_only_their_evaluator(self, monkeypatch, kou_model, step_spec):
+        counts = self._count_calls(monkeypatch)
+        price_time_domain(kou_model, step_spec, 1.0, 100.0, "euro")
+        assert counts == {"gs_invert": 1, "eval_european_mr": 14, "solve_european_mr": 14}
+        counts.clear()
+        price_time_domain(kou_model, step_spec, 1.0, 100.0, "amer")
+        assert counts == {"gs_invert": 1, "eval_american_mr": 14, "solve_american_mr": 14}

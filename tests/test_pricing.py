@@ -25,7 +25,6 @@ from hejdstep import (
     mc_euro_step_price,
     price_summary,
     price_time_domain,
-    seasoned_price,
     solve_american_mr,
     solve_european_mr,
 )
@@ -263,14 +262,20 @@ class TestOrderingsAcrossKnockRates:
 
 
 class TestSeasoning:
-    def test_identity_cases(self, step_spec, standard_spec):
-        assert seasoned_price(3.2, standard_spec) == 3.2  # rho 0
-        fresh = DownOutStepSpec(100.0, 95.0, -26.34, seasoning=0.0)
-        assert seasoned_price(3.2, fresh) == 3.2
+    def test_identity_cases(self, kou_model, standard_spec):
+        # rho 0: accrued occupation time costs nothing
+        aged = replace(standard_spec, seasoning=0.3)
+        for q in QUANTITIES:
+            assert price_time_domain(kou_model, aged, 1.0, 100.0, q) == price_time_domain(
+                kou_model, standard_spec, 1.0, 100.0, q)
 
-    def test_accrued_decay(self):
-        spec = DownOutStepSpec(100.0, 95.0, -26.34, seasoning=0.1)
-        assert seasoned_price(1.0, spec) == pytest.approx(math.exp(-2.634), rel=1e-15)
+    def test_accrued_decay(self, kou_model, step_spec):
+        aged = replace(step_spec, seasoning=0.1)
+        factor = math.exp(aged.knock_rate * aged.seasoning)
+        assert factor == pytest.approx(math.exp(-2.634), rel=1e-15)
+        for q in QUANTITIES:
+            assert price_time_domain(kou_model, aged, 1.0, 100.0, q) == factor * price_time_domain(
+                kou_model, step_spec, 1.0, 100.0, q)
 
 
 class TestSpotValidation:

@@ -20,9 +20,15 @@ outputs on:
   lambda = 10 market with the step contract at t = 0.25, spot 100: value and
   standard error of the call and of the dual put.  With about 2.5 jumps per
   path it runs the multi-jump sub-steps of both streams, which the Kou
-  lambda = 1 estimate above rarely reaches.
+  lambda = 1 estimate above rarely reaches;
+- ``price_time_domain`` of each of the five quantities, one inversion per
+  value, on the Kou step contract at spots 100, 115 (inside the span of its
+  randomized exercise boundaries) and 130, fresh and with seasoning 0.05.
+  This is the single-quantity path that the greeks surfaces, the
+  Monte-Carlo cross-check and ``price --quantity`` take.
 
-That is 460 values.  A contract that raises prints its error type and
+That is 490 values; the first 460 are the ones listed before the
+single-quantity prices.  A contract that raises prints its error type and
 message instead.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/fingerprint.py
@@ -40,7 +46,8 @@ from dataclasses import replace
 import numpy as np
 
 import hejdstep
-from hejdstep import DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary, verify_duality
+from hejdstep import (QUANTITIES, DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary,
+                      price_time_domain, verify_duality)
 from hejdstep.tables import build_table
 
 KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
@@ -52,6 +59,7 @@ HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
 STEP = DownOutStepSpec(100.0, 95.0, -26.34)
 ZERO_BARRIER = DownOutStepSpec(100.0, 0.0, 0.0)
 SPOTS = (90.0, 100.0, 110.0)
+SINGLE_SPOTS = (100.0, 115.0, 130.0)
 LOW_VOL = ((0.01, 80.0), (0.01, 95.0), (0.02, 80.0))
 
 
@@ -109,6 +117,14 @@ def lines() -> list[str]:
     for side, est in (("call", report.call), ("dual_put", report.dual_put)):
         out += [f"verify_duality.{side}.value {est.value.hex()}",
                 f"verify_duality.{side}.std_error {est.std_error.hex()}"]
+    for spec in (STEP, replace(STEP, seasoning=0.05)):
+        for x in SINGLE_SPOTS:
+            for q in QUANTITIES:
+                label = f"price_time_domain[kou rho=-26.34 seasoning={spec.seasoning:g} t=1.0 x={x!r}].{q}"
+                try:
+                    out.append(f"{label} {price_time_domain(KOU, spec, 1.0, x, q).hex()}")
+                except hejdstep.HejdStepError as exc:
+                    out.append(f"{label} {type(exc).__name__}: {exc}")
     return out
 
 
