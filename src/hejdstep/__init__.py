@@ -18,7 +18,6 @@ from .errors import (
 from .inversion import (
     DEFAULT_GS_ORDER,
     QUANTITIES,
-    GsConfig,
     gs_invert,
     gs_weights,
     price_summary,
@@ -64,7 +63,7 @@ __all__ = [
     "solve_european_mr", "eval_european_mr", "solve_american_mr",
     "eval_eep_mr", "eval_eep_split_mr", "eval_american_mr",
     # inversion
-    "GsConfig", "gs_weights", "gs_invert", "price_time_domain", "price_summary",
+    "gs_weights", "gs_invert", "price_time_domain", "price_summary",
     "QUANTITIES", "DEFAULT_GS_ORDER",
     # monte carlo
     "PathConfig", "McEstimate", "DualityReport",

@@ -19,13 +19,11 @@ from pathlib import Path
 from . import __version__
 from .config import parse_config
 from .errors import ConfigError, HejdStepError, OrderError
-from .inversion import DEFAULT_GS_ORDER, QUANTITIES, gs_weights, price_summary, price_time_domain
+from .inversion import DEFAULT_GS_ORDER, QUANTITIES, price_summary, price_time_domain
 from .model import DownOutStepSpec, HejdModel
 from .montecarlo import PathConfig, verify_duality
 from .roots import find_roots, root_brackets
 from .tables import TABLE_IDS, build_table
-
-_PRICE_QUANTITIES = QUANTITIES + ("all",)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -87,29 +85,26 @@ def _manifest(args: argparse.Namespace, model: HejdModel | None, spec: DownOutSt
 # text or csv output.
 
 def _cmd_price(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
-    cfg = gs_weights(args.gs_order)
     if args.quantity == "all":
-        doc = price_summary(model, spec, args.t, args.x, cfg)
+        doc = price_summary(model, spec, args.t, args.x, args.gs_order)
         # an 8-wide label column, and a space after the labels longer than it
         lines = [f"{q:<7} {doc[q]:.3f}" for q in QUANTITIES]
         lines += [f"eep%    {doc['eep_pct']:.2f}", f"dc%     {doc['dc_pct']:.2f}"]
     else:
-        value = price_time_domain(model, spec, args.t, args.x, args.quantity, cfg)
+        value = price_time_domain(model, spec, args.t, args.x, args.quantity, args.gs_order)
         doc = {"quantity": args.quantity, "value": value}
         lines = [f"{args.quantity}  {value:.3f}"]
     return doc, "\n".join(lines)
 
 
 def _cmd_table(args: argparse.Namespace, model: None, spec: None) -> tuple[None, str]:
-    cfg = gs_weights(args.gs_order)
-    result = build_table(args.table_id, cfg)
+    result = build_table(args.table_id, args.gs_order)
     rows = (["" if isinstance(v, float) and math.isnan(v) else repr(v) if isinstance(v, float) else v
              for v in row] for row in result.rows)
     return None, _csv(result.header, rows)
 
 
 def _cmd_greeks(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[None, str]:
-    cfg = gs_weights(args.gs_order)
     if args.x_lo >= args.x_hi:
         raise ConfigError("need x_lo < x_hi")
     if not 0.0 < args.bump < math.inf:
@@ -118,7 +113,7 @@ def _cmd_greeks(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpe
         raise ConfigError("need at least 3 grid points")
 
     def surface(mdl, sp):
-        price = lambda s: price_time_domain(mdl, sp, args.t, s, args.quantity, cfg)
+        price = lambda s: price_time_domain(mdl, sp, args.t, s, args.quantity, args.gs_order)
         rows = []
         for i in range(args.n):
             x = args.x_lo + (args.x_hi - args.x_lo) * i / (args.n - 1)
@@ -159,7 +154,7 @@ def _cmd_roots(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec
 
 def _cmd_verify(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
     cfg = PathConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-    engine = price_time_domain(model, spec, args.t, args.x, "euro", gs_weights(args.gs_order))
+    engine = price_time_domain(model, spec, args.t, args.x, "euro", args.gs_order)
     duality = verify_duality(model, spec, args.t, args.x, cfg)
     mc = duality.call  # the stream-0 call estimate, as mc_euro_step_price gives it
     z_engine = (mc.value - engine) / mc.std_error if mc.std_error > 0 else math.inf
@@ -202,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--t", type=float, required=True, help="time to maturity (years)")
     p.add_argument("--x", type=float, required=True, help="spot price")
-    p.add_argument("--quantity", choices=_PRICE_QUANTITIES, default="euro")
+    p.add_argument("--quantity", choices=QUANTITIES + ("all",), default="euro")
     add_common(p)
     p.set_defaults(func=_cmd_price)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -29,7 +28,6 @@ from .pricing import (
 )
 
 __all__ = [
-    "GsConfig",
     "gs_weights",
     "gs_invert",
     "price_time_domain",
@@ -45,29 +43,11 @@ DEFAULT_GS_ORDER = 7
 QUANTITIES = ("euro", "amer", "eep", "eep_diffusion", "eep_jump")
 
 
-@dataclass(frozen=True)
-class GsConfig:
-    """Inversion order and derived weights.
-
-    ``weights_exact`` holds the weights as exact rationals (the alternating
-    binomial sums cancel massively; at order 10 the weights exceed 1e10 and
-    float accumulation alone could not certify that they sum to one).
-    ``weights`` are their float roundings, used in the inversion sum.
-    """
-
-    order: int
-    weights: tuple[float, ...]
-    weights_exact: tuple[Fraction, ...]
-
-    def weight_sum(self) -> float:
-        """Sum of the weights computed in exact arithmetic (must be 1)."""
-        return float(sum(self.weights_exact, Fraction(0)))
-
-
 @lru_cache(maxsize=None)
-def gs_weights(order: int) -> GsConfig:
-    """Gaver-Stehfest weights of the given order (1..10), exact evaluation
-    of the alternating binomial sums in rational arithmetic."""
+def gs_weights(order: int) -> tuple[Fraction, ...]:
+    """Gaver-Stehfest weights of the given order (1..10) as exact rationals.
+    Their alternating binomial sums cancel massively (at order 10 the weights
+    exceed 1e10), so only exact arithmetic can certify that they sum to one."""
     if not isinstance(order, int) or isinstance(order, bool):
         raise OrderError(f"order must be an integer, got {order!r}")
     if not 1 <= order <= 10:
@@ -84,16 +64,30 @@ def gs_weights(order: int) -> GsConfig:
                 * math.comb(j, k - j)
             )
         exact.append(Fraction((-1) ** (order + k), k) * acc)
-    return GsConfig(order=order, weights=tuple(float(z) for z in exact), weights_exact=tuple(exact))
+    return tuple(exact)
 
 
-def gs_invert(F: Callable[[float], float | tuple], t: float, cfg: GsConfig | None = None) -> float | tuple:
+@lru_cache(maxsize=None)
+def _float_weights(order: int) -> tuple[float, ...]:
+    return tuple(float(z) for z in gs_weights(order))
+
+
+def _check_maturity(t: float) -> float:
+    """t as a float, or ValueError unless it is finite and strictly positive."""
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and strictly positive, got {t!r}")
+    return t
+
+
+def gs_invert(F: Callable[[float], float | tuple], t: float, order: int = DEFAULT_GS_ORDER) -> float | tuple:
     """Invert the transform F at time t: sum_k zeta_k F(k log2 / t).
 
-    Evaluations run in ascending k and the weighted sum is accumulated with
-    fsum, so the result is deterministic regardless of how F parallelizes
-    internally; a tuple-valued F is inverted component by component.  Errors
-    raised by F are re-raised annotated with the offending abscissa.
+    The zeta_k are the float roundings of gs_weights(order).  Evaluations run
+    in ascending k and the weighted sum is accumulated with fsum, so the
+    result is deterministic regardless of how F parallelizes internally; a
+    tuple-valued F is inverted component by component.  Errors raised by F
+    are re-raised annotated with the offending abscissa.
 
     The truncation error is the method's own, not a rounding effect.  At the
     default order 7 the exact sum for theta/(theta+a) differs from exp(-a t)
@@ -103,13 +97,11 @@ def gs_invert(F: Callable[[float], float | tuple], t: float, cfg: GsConfig | Non
     1.8e-5, 5.8e-6 and 2.0e-6.  Rounding adds at most a few eps times
     sum_k |zeta_k F(theta_k)|, about 1e-8 at order 7.
     """
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and strictly positive, got {t!r}")
-    cfg = cfg or gs_weights(DEFAULT_GS_ORDER)
+    weights = _float_weights(order)
+    t = _check_maturity(t)
     log2_over_t = math.log(2.0) / t
     values = []
-    for k in range(1, len(cfg.weights) + 1):
+    for k in range(1, len(weights) + 1):
         theta_k = k * log2_over_t
         try:
             values.append(F(theta_k))
@@ -117,8 +109,8 @@ def gs_invert(F: Callable[[float], float | tuple], t: float, cfg: GsConfig | Non
             exc.args = (f"{exc}, while evaluating the transform at theta={theta_k:.9g} (k={k}, t={t})",)
             raise
     if isinstance(values[0], tuple):
-        return tuple([math.fsum(map(operator.mul, cfg.weights, column)) for column in zip(*values)])
-    return math.fsum(map(operator.mul, cfg.weights, values))
+        return tuple([math.fsum(map(operator.mul, weights, column)) for column in zip(*values)])
+    return math.fsum(map(operator.mul, weights, values))
 
 
 def _transform(model: HejdModel, spec: DownOutStepSpec, x: float, quantities: tuple[str, ...]) -> Callable:
@@ -141,13 +133,16 @@ def _transform(model: HejdModel, spec: DownOutStepSpec, x: float, quantities: tu
 
 
 def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
-            quantities: tuple[str, ...], cfg: GsConfig | None) -> dict[str, float]:
+            quantities: tuple[str, ...], order: int) -> dict[str, float]:
     """Calendar-time values of the quantities from one inversion, times the
-    seasoning factor exp(knock_rate * seasoning) of accrued occupation time."""
+    seasoning factor exp(knock_rate * seasoning) of accrued occupation time.
+    Order, then spot, then maturity are checked before the x = 0 zeros."""
+    gs_weights(order)
     x = _check_spot(x)
+    _check_maturity(t)
     if x == 0.0:
         return dict.fromkeys(quantities, 0.0)
-    raw = gs_invert(_transform(model, spec, x, quantities), t, cfg)
+    raw = gs_invert(_transform(model, spec, x, quantities), t, order)
     factor = math.exp(spec.knock_rate * spec.seasoning)
     return {q: factor * value for q, value in zip(quantities, raw)}
 
@@ -158,14 +153,14 @@ def price_time_domain(
     t: float,
     x: float,
     quantity: str = "euro",
-    cfg: GsConfig | None = None,
+    order: int = DEFAULT_GS_ORDER,
 ) -> float:
     """Calendar-time value of the selected quantity at maturity t and spot x,
     seasoning included.  The American-family quantities use the heuristic
     inversion of the randomized quantities (they are not strict transforms)."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    return _prices(model, spec, t, x, (quantity,), cfg)[quantity]
+    return _prices(model, spec, t, x, (quantity,), order)[quantity]
 
 
 def price_summary(
@@ -173,7 +168,7 @@ def price_summary(
     spec: DownOutStepSpec,
     t: float,
     x: float,
-    cfg: GsConfig | None = None,
+    order: int = DEFAULT_GS_ORDER,
 ) -> dict[str, float]:
     """euro/amer/eep values plus the premium share of the American price
     (eep_pct) and the diffusion share of the premium (dc_pct), in percent.
@@ -181,7 +176,7 @@ def price_summary(
     All five quantities come from one inversion pass, each equal to its
     price_time_domain value bit for bit.
     """
-    out = _prices(model, spec, t, x, QUANTITIES, cfg)
+    out = _prices(model, spec, t, x, QUANTITIES, order)
     out["eep_pct"] = 100.0 * out["eep"] / out["amer"] if out["amer"] > 0.0 else math.nan
     out["dc_pct"] = 100.0 * out["eep_diffusion"] / out["eep"] if out["eep"] != 0.0 else math.nan
     return out

@@ -85,6 +85,8 @@ class HejdModel:
             raise ValueError("r and delta must be non-negative")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be strictly positive")
+        if self.sigma**2 == 0.0:
+            raise ValueError(f"sigma**2 underflows to zero at sigma = {self.sigma!r}")
         if self.lam < 0.0:
             raise ValueError("lam must be non-negative")
         if len(self.up_weights) != len(self.up_rates):

@@ -89,8 +89,6 @@ def _draw_jumps(model: HejdModel, rng: np.random.Generator, n: int, horizon: flo
     """Unsorted (times, sizes, path_ids) of the jumps of n paths on [0, horizon]."""
     counts = rng.poisson(model.lam * horizon, size=n)
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     times = rng.random(total) * horizon
     weights = np.array(model.up_weights + model.down_weights)
     rates = np.array(model.up_rates + model.down_rates)
@@ -172,15 +170,11 @@ def _simulate_batch(
     drift, sigma = model.drift, model.sigma
     X = np.zeros(nb)
     occ = np.zeros(nb)
-    if model.lam > 0.0:
-        jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
-        jstep = np.minimum((jt / dt).astype(np.int64), n_steps - 1)
-        order = np.lexsort((jt, jpaths, jstep))
-        jt, js, jpaths, jstep = jt[order], js[order], jpaths[order], jstep[order]
-        step_bounds = np.searchsorted(jstep, np.arange(n_steps + 1))
-    else:
-        jt = np.empty(0)
-        step_bounds = np.zeros(n_steps + 1, dtype=np.int64)
+    jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
+    jstep = np.minimum((jt / dt).astype(np.int64), n_steps - 1)
+    order = np.lexsort((jt, jpaths, jstep))
+    jt, js, jpaths, jstep = jt[order], js[order], jpaths[order], jstep[order]
+    step_bounds = np.searchsorted(jstep, np.arange(n_steps + 1))
 
     below = np.empty(nb, dtype=bool)
     zbuf = np.empty(nb)

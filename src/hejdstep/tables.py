@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .inversion import GsConfig, price_summary
+from .inversion import DEFAULT_GS_ORDER, price_summary
 from .model import DownOutStepSpec, HejdModel
 
 __all__ = [
@@ -78,7 +78,7 @@ class TableResult:
     rows: tuple[tuple, ...]
 
 
-def build_table(table_id: int, cfg: GsConfig | None = None) -> TableResult:
+def build_table(table_id: int, order: int = DEFAULT_GS_ORDER) -> TableResult:
     """Compute the full grid of the requested table.
 
     Table 1 rows: lambda, then euro/amer/dc_pct for the standard, step and
@@ -98,7 +98,7 @@ def build_table(table_id: int, cfg: GsConfig | None = None) -> TableResult:
             model = table_model(1, lam)
             row: list[float] = [lam]
             for rho in rhos:
-                s = price_summary(model, table_spec(rho), t, 100.0, cfg)
+                s = price_summary(model, table_spec(rho), t, 100.0, order)
                 row += [s["euro"], s["amer"], s["dc_pct"]]
             rows.append(tuple(row))
         return TableResult(1, header, tuple(rows))
@@ -116,7 +116,7 @@ def build_table(table_id: int, cfg: GsConfig | None = None) -> TableResult:
         for x in _SPOTS:
             row = [float(block), lam, x]
             for rho in rhos:
-                s = price_summary(model, table_spec(rho), t, x, cfg)
+                s = price_summary(model, table_spec(rho), t, x, order)
                 if s["euro"] < 5e-4 and s["eep"] < 5e-4:  # knocked-out rows print 0 / --
                     row += [s["euro"], s["eep"], math.nan, math.nan]
                 else:

@@ -162,6 +162,10 @@ class TestErrors:
         (["price", "--t", "1", "--x", "100", "--gs-order", "11"], "order must lie in [1, 10], got 11"),
         (["price", "--t", "1", "--x", "100", "--gs-order", "0"], "order must lie in [1, 10], got 0"),
         (["roots", "--alpha", "-1"], "alpha must be strictly positive"),
+        # at x = 0 the price is zero, but only once every input is checked
+        (["price", "--t", "-1", "--x", "0", "--quantity", "all"], "t must be finite and strictly positive, got -1.0"),
+        (["price", "--t", "nan", "--x", "0"], "t must be finite and strictly positive, got nan"),
+        (["price", "--t", "1", "--x", "0", "--gs-order", "11"], "order must lie in [1, 10], got 11"),
     ])
     def test_invalid_argument_exit_2(self, capsys, config_path, argv, message):
         # an invalid value on the command line is an input error, not a numerical one
@@ -169,6 +173,15 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["roots", "--alpha", "1"], ["price", "--t", "1", "--x", "100"]])
+    def test_underflowing_sigma_exit_2(self, capsys, tmp_path, argv):
+        tiny = tmp_path / "tiny.cfg"
+        tiny.write_text("r = 0.05\ndelta = 0.07\nsigma = 1e-200\nlambda = 0\nK = 100\n")
+        code = main([argv[0], str(tiny), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {tiny}: sigma**2 underflows to zero at sigma = 1e-200\n"
 
     @pytest.mark.parametrize("bump", ["0", "-1e-3", "inf", "nan"])
     def test_bump_must_be_finite_and_positive(self, capsys, config_path, bump):

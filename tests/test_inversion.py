@@ -25,20 +25,17 @@ class TestWeights:
     def test_order_one_by_hand(self):
         # k=1: (+1)/1 * [1 * C(1,1) C(2,1) C(1,0)] = 2
         # k=2: (-1)/2 * [1 * C(1,1) C(2,1) C(1,1)] = -1
-        cfg = gs_weights(1)
-        assert cfg.weights == (2.0, -1.0)
+        assert gs_weights(1) == (2, -1)
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_weights_sum_to_one(self, order):
-        cfg = gs_weights(order)
-        assert abs(cfg.weight_sum() - 1.0) <= 1e-9
-        assert len(cfg.weights) == 2 * order
+        assert abs(float(sum(gs_weights(order))) - 1.0) <= 1e-9
+        assert len(gs_weights(order)) == 2 * order
 
     def test_float_sum_adequate_at_default_order(self):
         # rounded weights are good enough at the default order; the exact
         # layer exists for the high orders where they are not
-        cfg = gs_weights(7)
-        assert abs(math.fsum(cfg.weights) - 1.0) <= 1e-9
+        assert abs(math.fsum(map(float, gs_weights(7))) - 1.0) <= 1e-9
 
     def test_order_validation(self):
         with pytest.raises(OrderError):
@@ -54,32 +51,28 @@ class TestWeights:
 
 class TestInvert:
     def test_constant_reproduced(self):
-        cfg = gs_weights(7)
         for t in (0.1, 1.0, 10.0):
-            assert gs_invert(lambda _th: 4.25, t, cfg) == pytest.approx(4.25, abs=1e-8)
+            assert gs_invert(lambda _th: 4.25, t, 7) == pytest.approx(4.25, abs=1e-8)
 
     def test_exponential_pair_at_unit_rate(self):
         # transform of e^{-t} is theta/(theta+1); the default order carries
         # roughly six digits at t=1
-        cfg = gs_weights(7)
-        got = gs_invert(lambda th: th / (th + 1.0), 1.0, cfg)
+        got = gs_invert(lambda th: th / (th + 1.0), 1.0, 7)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_exponential_pair_grid(self):
         # the truncation error grows with a*t, so each point is held to the
         # exact order-7 sum and to that sum's own error against exp(-a t)
-        cfg = gs_weights(7)
         for a in (0.5, 1.0, 5.0):
             for t in (0.1, 1.0, 5.0):
                 ref = exponential_pair_reference(a, t, 7)
-                got = gs_invert(lambda th: th / (th + a), t, cfg)
+                got = gs_invert(lambda th: th / (th + a), t, 7)
                 assert got == pytest.approx(ref.value, abs=ref.fidelity)
                 assert abs(got - ref.target) <= ref.method_error + ref.fidelity
 
     def test_nodes_are_k_log2_over_t(self):
         seen = []
-        cfg = gs_weights(4)
-        gs_invert(lambda th: seen.append(th) or 1.0, 2.5, cfg)
+        gs_invert(lambda th: seen.append(th) or 1.0, 2.5, 4)
         want = [k * math.log(2.0) / 2.5 for k in range(1, 9)]
         assert seen == pytest.approx(want, rel=1e-15)
 
@@ -96,7 +89,7 @@ class TestInvert:
             raise SingularSystemError("synthetic failure")
 
         with pytest.raises(SingularSystemError) as info:
-            gs_invert(bad, 1.0, gs_weights(3))
+            gs_invert(bad, 1.0, 3)
         assert "theta=" in str(info.value)
 
     def test_tuple_transform_matches_scalar_calls(self):
@@ -131,7 +124,27 @@ class TestTimeDomain:
         assert got == pytest.approx(4.596, rel=5e-3)
 
     def test_zero_spot(self, kou_model, step_spec):
-        assert price_time_domain(kou_model, step_spec, 1.0, 0.0, "euro") == 0.0
+        values = [price_time_domain(kou_model, step_spec, 1.0, 0.0, q) for q in QUANTITIES]
+        summary = price_summary(kou_model, step_spec, 1.0, 0.0)
+        values += [summary[q] for q in QUANTITIES]
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
+    @pytest.mark.parametrize("t, order, error", [
+        (-1.0, 7, ValueError), (math.nan, 7, ValueError), (1.0, 11, OrderError),
+    ])
+    def test_zero_spot_checks_inputs(self, kou_model, step_spec, t, order, error):
+        # the x = 0 shortcut comes after every input check
+        for q in QUANTITIES:
+            with pytest.raises(error):
+                price_time_domain(kou_model, step_spec, t, 0.0, q, order)
+        with pytest.raises(error):
+            price_summary(kou_model, step_spec, t, 0.0, order)
+
+    def test_checks_run_order_spot_maturity(self, kou_model, step_spec):
+        with pytest.raises(OrderError):
+            price_summary(kou_model, step_spec, -1.0, -1.0, 11)
+        with pytest.raises(ValueError, match="spot"):
+            price_summary(kou_model, step_spec, -1.0, -1.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_non_finite_spot_rejected(self, kou_model, step_spec, x):
@@ -153,7 +166,7 @@ class TestTimeDomain:
 
     def test_stability_in_order(self, kou_model, step_spec):
         prices = [
-            price_time_domain(kou_model, step_spec, 1.0, 100.0, "euro", gs_weights(n))
+            price_time_domain(kou_model, step_spec, 1.0, 100.0, "euro", n)
             for n in (6, 7, 8)
         ]
         spread = (max(prices) - min(prices)) / min(prices)

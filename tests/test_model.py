@@ -64,6 +64,8 @@ class TestModelValidation:
         (dict(up_weights=(1.0,), down_weights=(0.0,)), "mixture weights must be strictly positive"),
         (dict(down_weights=(0.2, 0.1), down_rates=(50.0, 40.0)), "down_rates must be strictly increasing"),
         (dict(down_rates=(0.0,)), "down_rates must be positive"),
+        # the root finder divides by sigma**2 (1e-160 squares to a subnormal and stays valid)
+        (dict(sigma=1e-200), "sigma**2 underflows to zero at sigma = 1e-200"),
     ])
     def test_invalid_parameters_rejected(self, params, message):
         kou = dict(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),

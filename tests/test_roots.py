@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hejdstep import (
+    BracketError,
     HejdModel,
     dual_model,
     find_roots,
@@ -156,3 +157,24 @@ class TestScalarKernel:
             for theta in map(float, thetas):
                 assert _phi_raw(model, theta) == _phi_numpy(model, theta), (model, theta)
                 assert _phi_prime_raw(model, theta) == _phi_prime_numpy(model, theta), (model, theta)
+
+
+class TestErrorPaths:
+    """The bracketing failures that real markets reach, each with its message."""
+
+    @pytest.mark.parametrize("params, alpha, message", [
+        # the negative root sits closer to the pole -1e-4 than a double resolves
+        (dict(sigma=0.005, lam=1e-9, up_weights=(0.5,), up_rates=(1.0001,),
+              down_weights=(0.5,), down_rates=(1e-4,)), 35.0,
+         "no point of the required sign next to pole -0.0001 for alpha=35.0 "
+         "(root indistinguishable from the pole at double precision)"),
+        # the positive root lies beyond 2**60
+        (dict(sigma=1e-150, lam=0.0), 1.0, "outer bracket doubling cap reached (positive side)"),
+        # the diffusion-only seed overflows, so the positive root comes back inf
+        (dict(sigma=1e-160, lam=0.0), 1.0, "beta[0]=inf escapes (0.0, inf)"),
+    ])
+    def test_bracket_failures(self, params, alpha, message):
+        model = HejdModel(r=0.05, delta=0.07, **params)
+        with pytest.raises(BracketError) as info:
+            find_roots(model, alpha)
+        assert str(info.value) == message

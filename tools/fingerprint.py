@@ -35,6 +35,9 @@ message instead.  Run from the root of a checkout:
 
 Point PYTHONPATH at another tree's ``src`` to fingerprint that tree; the
 path of the imported package goes to standard error.
+
+``tools/fingerprint.sha256`` holds the expected last line, and CI fails when
+it differs.  A change that moves a bit updates that file and says why.
 """
 
 from __future__ import annotations
