@@ -107,6 +107,8 @@ def _cmd_table(args: argparse.Namespace, model: None, spec: None) -> tuple[None,
 def _cmd_greeks(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[None, str]:
     if args.x_lo >= args.x_hi:
         raise ConfigError("need x_lo < x_hi")
+    if not args.x_lo > 0.0:
+        raise ConfigError(f"need a positive x_lo, got {args.x_lo!r}")
     if not 0.0 < args.bump < math.inf:
         raise ConfigError(f"need a finite positive bump, got {args.bump!r}")
     if args.n < 3:

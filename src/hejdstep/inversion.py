@@ -113,23 +113,23 @@ def gs_invert(F: Callable[[float], float | tuple], t: float, order: int = DEFAUL
     return math.fsum(map(operator.mul, weights, values))
 
 
-def _transform(model: HejdModel, spec: DownOutStepSpec, x: float, quantities: tuple[str, ...]) -> Callable:
-    """theta -> randomized values of the quantities at spot x.  All five share
-    one American solve, amer = euro + eep as eval_american_mr sums it; one
-    quantity alone runs only its own evaluator (euro: no American solve)."""
+def _transform(solution: Callable, x: float, quantities: tuple[str, ...]) -> Callable:
+    """theta -> randomized values of the quantities at spot x from solution(theta).
+    All five share one American solution, amer = euro + eep as eval_american_mr
+    sums it; one quantity alone runs only its own evaluator (euro: no American)."""
     if quantities == QUANTITIES:
         def F(th):
-            sol = solve_american_mr(model, spec, th)
+            sol = solution(th)
             euro = eval_european_mr(sol.european, x)
             eep, diffusion, jump = eval_eep_split_mr(sol, x)
             return euro, euro + eep, eep, diffusion, jump
         return F
     if quantities == ("euro",):
-        return lambda th: (eval_european_mr(solve_european_mr(model, spec, th), x),)
+        return lambda th: (eval_european_mr(solution(th), x),)
     if quantities == ("amer",):
-        return lambda th: (eval_american_mr(solve_american_mr(model, spec, th), x),)
+        return lambda th: (eval_american_mr(solution(th), x),)
     part = ("eep", "eep_diffusion", "eep_jump").index(quantities[0])  # (total, diffusion, jump)
-    return lambda th: (eval_eep_split_mr(solve_american_mr(model, spec, th), x)[part],)
+    return lambda th: (eval_eep_split_mr(solution(th), x)[part],)
 
 
 def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
@@ -139,10 +139,18 @@ def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
     Order, then spot, then maturity are checked before the x = 0 zeros."""
     gs_weights(order)
     x = _check_spot(x)
-    _check_maturity(t)
+    t = _check_maturity(t)
     if x == 0.0:
         return dict.fromkeys(quantities, 0.0)
-    raw = gs_invert(_transform(model, spec, x, quantities), t, order)
+    solve = solve_european_mr if quantities == ("euro",) else solve_american_mr
+    log2_over_t = math.log(2.0) / t  # gs_invert's abscissae, solved in one stacked call
+    thetas = tuple([k * log2_over_t for k in range(1, 2 * order + 1)])
+    try:
+        solved = dict(zip(thetas, solve(model, spec, thetas)))
+    except Exception:  # gs_invert solves one by one and raises the first failure, annotated
+        solved = {}
+    solution = lambda th: solved[th] if th in solved else solve(model, spec, th)
+    raw = gs_invert(_transform(solution, x, quantities), t, order)
     factor = math.exp(spec.knock_rate * spec.seasoning)
     return {q: factor * value for q, value in zip(quantities, raw)}
 

@@ -24,10 +24,12 @@ Lewis's Fourier formula for the randomized vanilla call.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -70,6 +72,7 @@ _BOUNDARY_GRIDS = (
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 8.9e-16
 _BRENT_MAXITER = 200
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +106,7 @@ class MrEuropeanSolution:
     @property
     def c_minus(self) -> np.ndarray:
         """Gamma coefficients of the tail above K."""
-        return self.coef[self.cols[2].stop:]
+        return self.coef[..., self.cols[2].stop:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +233,8 @@ def _assemble(
     """Systems of the European price or the American premium at a stack of
     S upper log-anchors u.
 
+    sol is one solution shared by the S systems, or a _stack of S, one each.
+
     Below the barrier L the solution is sum_s D[s] (x/L)^{betas_low[s]}.  On
     the corridor [L, U], U = e^u, it is sum_s F[s] (x/U)^{betas_mid[s]} +
     sum_v Fm[v] (x/L)^{gammas[v]}: each family is anchored where it is
@@ -253,13 +258,16 @@ def _assemble(
     one call each: numpy's vectorized exp differs from it in the last bit
     for a few percent of arguments.
     """
-    model, theta = sol.model, sol.theta
+    model = sol.model
     r, d = model.r, model.delta
+    theta = np.reshape(sol.theta, (-1, 1))  # one row per solution, as the roots
     bM, gM = sol.roots_mid.betas, sol.roots_mid.gammas
     xi = np.asarray(model.up_rates)
     eta = np.asarray(model.down_rates)[:, None]
-    xi_bM = xi[:, None] - bM
-    xi_gM = xi[:, None] - gM
+    xi_bM = xi[:, None] - bM[..., None, :]
+    xi_gM = xi[:, None] - gM[..., None, :]
+    eta_bM = eta + bM[..., None, :]
+    eta_gM = eta + gM[..., None, :]
     up_r = xi * (r + theta)
     up_d = (xi - 1.0) * (d + theta)
     mm, n = model.m, model.n
@@ -291,33 +299,34 @@ def _assemble(
         # unknown gamma terms, closed by the down-jump residuals seen from
         # above K and slope continuity at K
         n_r = theta * sol.spec.strike
-        n_d = np.full(S, n_r)
+        n_d = np.broadcast_to(n_r, (S, 1))
         Q[:, r_up, cC] = e_tail[:, None, :] / xi_gM
         Q[:, v_U, cC] = -e_tail
-        Q[:, r_hi, cF] = 1.0 / (eta + bM)
-        Q[:, r_hi, cC] = -e_tail[:, None, :] / (eta + gM)
-        qJ[:, r_hi] = n_d[:, None] / ((eta.T + 1.0) * (d + theta)) - n_r / (eta.T * (r + theta))
+        Q[:, r_hi, cF] = 1.0 / eta_bM
+        Q[:, r_hi, cC] = -e_tail[:, None, :] / eta_gM
+        qJ[:, r_hi] = n_d / ((eta.T + 1.0) * (d + theta)) - n_r / (eta.T * (r + theta))
         Q[:, s_U, cF] = bM
         Q[:, s_U, cC] = -gM * e_tail
-        q0[:, s_U] = n_d / (d + theta)
+        q0[:, s_U] = (n_d / (d + theta))[:, 0]
         known_up = known_value = 0.0
     else:
         # exercise gap: d x / (d + theta) - r K / (r + theta) minus the
         # European's gamma terms, all known
         n_r = r * sol.spec.strike
-        n_d = d * np.array([math.exp(b) for b in u])
+        n_d = d * np.array([math.exp(b) for b in u])[:, None]
         C_euro = sol.c_minus * e_tail
         known_up = (C_euro[:, None, :] / xi_gM).sum(axis=2)
-        known_value = C_euro.sum(axis=1)
+        known_value = C_euro.sum(axis=1, keepdims=True)
     # up-jump residuals seen from the corridor, value at U
     Q[:, r_up, cF] = -1.0 / xi_bM
-    qJ[:, r_up] = known_up + n_r / up_r - n_d[:, None] / up_d
+    qJ[:, r_up] = known_up + n_r / up_r - n_d / up_d
     Q[:, v_U, cF] = 1.0
-    q0[:, v_U] = n_d / (d + theta) - n_r / (r + theta) - known_value
+    q0[:, v_U] = (n_d / (d + theta) - n_r / (r + theta) - known_value)[:, 0]
     if not barrier:
         return Q, q0 + qJ, q0, qJ, (cD, cF, cFm)
 
     bL = sol.roots_low.betas
+    eta_bL = eta + bL[..., None, :]
     bl = u - sol.log_barrier
     # (U/L)^{-xi_i}: an up jump from the barrier clears U
     e_up = np.array([[math.exp(-x * v) for x in model.up_rates] for v in bl])
@@ -325,22 +334,22 @@ def _assemble(
     e_beta = np.exp(-bM * bl)  # beta terms at the barrier
     e_gamma = np.exp(gM * bl)  # gamma terms at U
     # up-jump residuals seen from below the barrier
-    Q[:, r_lo, cD] = -1.0 / (xi[:, None] - bL)
+    Q[:, r_lo, cD] = -1.0 / (xi[:, None] - bL[..., None, :])
     Q[:, r_lo, cF] = (e_beta[:, None, :] - e_up[:, :, None]) / xi_bM
-    Q[:, r_lo, cFm] = (1.0 - np.exp((gM - xi[:, None]) * bl[:, :, None])) / xi_gM
+    Q[:, r_lo, cFm] = (1.0 - np.exp((gM[..., None, :] - xi[:, None]) * bl[:, :, None])) / xi_gM
     if free:
         Q[:, r_lo, cC] = e_up[:, :, None] * e_tail[:, None, :] / xi_gM
         known_lo = 0.0
     else:
-        known_lo = (sol.c_minus * e_up[:, :, None] * e_tail[:, None, :] / xi_gM).sum(axis=2)
-    qJ[:, r_lo] = known_lo + n_r * e_up / up_r - n_d[:, None] * e_up / up_d
+        known_lo = (sol.c_minus[..., None, :] * e_up[:, :, None] * e_tail[:, None, :] / xi_gM).sum(axis=2)
+    qJ[:, r_lo] = known_lo + n_r * e_up / up_r - n_d * e_up / up_d
     # the corridor's gamma terms in the up-jump rows and the value row at U
     Q[:, r_up, cFm] = -e_gamma[:, None, :] / xi_gM
     Q[:, v_U, cFm] = e_gamma
     # down-jump residuals seen from the corridor, value and slope at L
-    Q[:, r_dn, cD] = 1.0 / (eta + bL)
-    Q[:, r_dn, cF] = -e_beta[:, None, :] / (eta + bM)
-    Q[:, r_dn, cFm] = -1.0 / (eta + gM)
+    Q[:, r_dn, cD] = 1.0 / eta_bL
+    Q[:, r_dn, cF] = -e_beta[:, None, :] / eta_bM
+    Q[:, r_dn, cFm] = -1.0 / eta_gM
     Q[:, v_L, cD] = 1.0
     Q[:, v_L, cF] = -e_beta
     Q[:, v_L, cFm] = -1.0
@@ -351,50 +360,114 @@ def _assemble(
         # the barrier's columns in the rows above K; (U/L)^{-eta_j}: a down
         # jump from U clears the barrier
         e_dn = np.exp(-eta.T * bl)
-        Q[:, r_hi, cD] = e_dn[:, :, None] / (eta + bL)
-        Q[:, r_hi, cF] = (1.0 - e_dn[:, :, None] * e_beta[:, None, :]) / (eta + bM)
-        Q[:, r_hi, cFm] = (e_gamma[:, None, :] - e_dn[:, :, None]) / (eta + gM)
+        Q[:, r_hi, cD] = e_dn[:, :, None] / eta_bL
+        Q[:, r_hi, cF] = (1.0 - e_dn[:, :, None] * e_beta[:, None, :]) / eta_bM
+        Q[:, r_hi, cFm] = (e_gamma[:, None, :] - e_dn[:, :, None]) / eta_gM
         Q[:, s_U, cFm] = gM * e_gamma
     return Q, q0 + qJ, q0, qJ, (cD, cF, cFm)
 
 
-@lru_cache(maxsize=4096)
-def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> MrEuropeanSolution:
-    """Coefficients of the maturity-randomized European down-and-out step call.
+def _stack(sols: Sequence[MrEuropeanSolution]) -> MrEuropeanSolution:
+    """Solutions of one (model, spec) as one solution holding a row per
+    solution in its per-abscissa fields (theta, the roots, coef), from which
+    _assemble and _smooth_fit_gap build one system per row."""
+    rows = lambda field: np.array([field(s) for s in sols])
+    head, low = sols[0], sols[0].roots_low
+    return replace(
+        head, theta=rows(lambda s: s.theta),
+        roots_mid=replace(head.roots_mid, betas=rows(lambda s: s.roots_mid.betas),
+                          gammas=rows(lambda s: s.roots_mid.gammas)),
+        roots_low=None if low is None else replace(low, betas=rows(lambda s: s.roots_low.betas)),
+        coef=None if head.coef is None else rows(lambda s: s.coef),
+    )
+
+
+def _abscissa_cache(solve_stack: Callable) -> Callable:
+    """Cache in front of solve_stack(model, spec, thetas), which solves a
+    tuple of abscissae of one (model, spec) together.  The cached function
+    takes one theta or a tuple of them and returns one solution or a tuple;
+    it solves the missing abscissae together, keeps nothing of a solve that
+    raises, and keys by (model, spec), then theta.  Above 4096 solutions the
+    least recently used (model, spec) go, whole.  cache_info() counts per
+    abscissa, as lru_cache does; __wrapped__ solves without the cache."""
+    lock, groups = threading.Lock(), OrderedDict()  # (model, spec) -> {theta: solution}
+    info = dict(hits=0, misses=0, maxsize=4096, currsize=0)
+
+    def lookup(model, spec, thetas: tuple) -> tuple:
+        key = (model, spec)
+        with lock:
+            group = groups.get(key, {})
+            if group:
+                groups.move_to_end(key)
+            missing = tuple(dict.fromkeys([th for th in thetas if th not in group]))
+            info["hits"] += len(thetas) - len(missing)
+            info["misses"] += len(missing)
+        if not missing:
+            return tuple([group[th] for th in thetas])
+        solved = dict(zip(missing, solve_stack(model, spec, missing)))
+        with lock:
+            current = groups.setdefault(key, {})
+            groups.move_to_end(key)
+            info["currsize"] += sum(th not in current for th in solved)
+            current.update(solved)
+            while info["currsize"] > info["maxsize"]:
+                info["currsize"] -= len(groups.popitem(last=False)[1])
+        # a group's entries are never removed, only whole groups
+        return tuple([solved[th] if th in solved else group[th] for th in thetas])
+
+    def per_theta(run: Callable) -> Callable:  # one theta, or a tuple of them
+        return lambda model, spec, theta: (
+            tuple(run(model, spec, theta)) if isinstance(theta, tuple) else run(model, spec, (theta,))[0])
+
+    def cache_clear() -> None:
+        with lock:
+            groups.clear()
+            info.update(hits=0, misses=0, currsize=0)
+
+    solve = functools.update_wrapper(per_theta(lookup), solve_stack)
+    solve.cache_info, solve.cache_clear = lambda: _CacheInfo(**info), cache_clear
+    solve.__wrapped__ = per_theta(solve_stack)
+    return solve
+
+
+@_abscissa_cache
+def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, thetas: tuple) -> list[MrEuropeanSolution]:
+    """Coefficients of the maturity-randomized European down-and-out step call
+    at theta, one abscissa or a tuple of them (then a tuple of solutions).
 
     Assembles the dense (2m+2n+4)-square system (or the reduced (m+n+2) one
-    when the barrier is 0) with _assemble at the upper anchor K, so the beta
-    terms are anchored at K and the gamma terms at L, and solves it by LU
-    with partial pivoting.  Nothing is clamped, ill conditioning raises
-    SingularSystemError.
+    when the barrier is 0) of each abscissa with _assemble at the upper
+    anchor K, so the beta terms are anchored at K and the gamma terms at L,
+    and solves all of them by stacked LU with partial pivoting.  Nothing is
+    clamped, ill conditioning raises SingularSystemError.
     """
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError("theta must be strictly positive")
     r, d = model.r, model.delta
     barrier_eff, ell = _effective_log_barrier(spec)
-    roots_mid = find_roots(model, r + theta)
-    roots_low = None
-    if ell is not None:
-        # r + theta - 0.0 == r + theta exactly, so a standard contract's low
-        # region shares the mid-region roots
-        roots_low = roots_mid if spec.knock_rate == 0.0 else find_roots(model, r + theta - spec.knock_rate)
-    # a solution without coefficients: _assemble takes its tail's gamma
-    # terms as unknowns too
-    frame = MrEuropeanSolution(
-        model=model, spec=spec, theta=theta,
-        roots_low=roots_low, roots_mid=roots_mid,
-        coef=None, cols=None,
-        barrier_eff=barrier_eff, log_barrier=ell, log_strike=math.log(spec.strike),
-        slope_inf=theta / (d + theta), offset_inf=theta * spec.strike / (r + theta),
-        residual_inf=math.nan, cond_estimate=math.nan,
-    )
-    Q, q, _, _, cols = _assemble(frame, np.array([frame.log_strike]))
+    frames = []
+    for theta in thetas:
+        theta = float(theta)
+        if not theta > 0.0:
+            raise ValueError("theta must be strictly positive")
+        roots_mid = find_roots(model, r + theta)
+        roots_low = None
+        if ell is not None:
+            # r + theta - 0.0 == r + theta exactly, so a standard contract's
+            # low region shares the mid-region roots
+            roots_low = roots_mid if spec.knock_rate == 0.0 else find_roots(model, r + theta - spec.knock_rate)
+        # a solution without coefficients: _assemble takes its tail's gamma
+        # terms as unknowns too
+        frames.append(MrEuropeanSolution(
+            model=model, spec=spec, theta=theta, roots_low=roots_low, roots_mid=roots_mid, coef=None, cols=None,
+            barrier_eff=barrier_eff, log_barrier=ell, log_strike=math.log(spec.strike),
+            slope_inf=theta / (d + theta), offset_inf=theta * spec.strike / (r + theta),
+            residual_inf=math.nan, cond_estimate=math.nan,
+        ))
+    Q, q, _, _, cols = _assemble(_stack(frames), np.full(len(frames), frames[0].log_strike))
     (v,), resid, cond = _solve_dense(Q, [q], "european system")
-    return replace(
-        frame, coef=v[0], cols=cols,
-        residual_inf=float(resid[0]), cond_estimate=float(cond[0]),
-    )
+    return [
+        replace(frame, coef=v[s], cols=cols, residual_inf=float(resid[s]), cond_estimate=float(cond[s]))
+        for s, frame in enumerate(frames)
+    ]
 
 
 def _eval_corridor(euro: MrEuropeanSolution, w: np.ndarray, log_upper: float, x: float) -> float:
@@ -451,14 +524,15 @@ def _smooth_fit_gap(
     return lhs - (exercise_slope - euro_slope), scale
 
 
-def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+def _brent(a: float, b: float, fa: float, fb: float) -> Generator[float, float, float]:
     """Zero of f in the log-boundary bracket [a, b], given fa = f(a) and
-    fb = f(b) of opposite signs (or one of them zero).
+    fb = f(b) of opposite signs (or one of them zero): a generator that
+    yields each candidate, is sent f there and returns the zero (_lockstep).
 
     Brent's zero-finder (Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4) in the operation order of the C routine
     Zeros/brentq.c, so it takes that routine's iterates bit for bit.
-    Raises ConvergenceError when f returns NaN or the step cap is reached.
+    Raises ConvergenceError when sent NaN or the step cap is reached.
     """
     xpre, xcur, fpre, fcur = a, b, fa, fb
     if fpre == 0.0:
@@ -497,7 +571,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
         if math.isnan(fcur):
             raise ConvergenceError(
                 f"american boundary search: smooth-fit gap is NaN at log-boundary {xcur!r}"
@@ -508,10 +582,53 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float
     )
 
 
-@lru_cache(maxsize=4096)
-def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> MrAmericanSolution:
-    """Randomized American solution via an outer scalar search on the
-    early-exercise boundary.
+def _lockstep(searches: Sequence[Generator], f: Callable) -> list[float]:
+    """Results of the searches (_brent generators), run together: each round
+    evaluates the candidates of all unfinished searches with one call
+    f(their indices, their candidates) and sends each search its value."""
+    out, sends = [math.nan] * len(searches), dict.fromkeys(range(len(searches)))
+    while sends:
+        pending = {}
+        for i, value in sends.items():
+            try:
+                pending[i] = searches[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+        sends = dict(zip(pending, map(float, f(list(pending), list(pending.values()))))) if pending else {}
+    return out
+
+
+def _gaps(euro: MrEuropeanSolution, b_log: np.ndarray) -> np.ndarray:
+    """Smooth-fit gaps at candidate boundaries b_log, of one solution or a _stack."""
+    Q, q, _, _, _ = _assemble(euro, b_log)
+    (w,), _, _ = _solve_dense(Q, [q], "american system")
+    return _smooth_fit_gap(euro, b_log, w)[0]
+
+
+def _bracket(euro: MrEuropeanSolution) -> tuple[float, float, float, float]:
+    """(a, b, gap at a, gap at b): the log-boundary bracket of the one
+    smooth-fit sign change that the boundary scan finds."""
+    for lo, hi, size in _BOUNDARY_GRIDS:
+        pts = euro.log_strike + np.geomspace(lo, hi, size)
+        vals = _gaps(euro, pts)
+        brackets = [i for i in range(size - 1) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0]
+        if brackets:
+            break
+    else:
+        raise NoBoundaryError(f"no smooth-fit sign change on (K, K*e^20) at theta={euro.theta} "
+                              "(degenerate early-exercise region)")
+    if len(brackets) > 1:
+        spot_br = [(math.exp(pts[i]), math.exp(pts[i + 1])) for i in brackets]
+        raise AmbiguousBoundaryError(f"{len(brackets)} smooth-fit sign changes found: {spot_br}", spot_br)
+    (i,) = brackets
+    return float(pts[i]), float(pts[i + 1]), float(vals[i]), float(vals[i + 1])
+
+
+@_abscissa_cache
+def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, thetas: tuple) -> list[MrAmericanSolution]:
+    """Randomized American solution at theta, one abscissa or a tuple of
+    them (then a tuple of solutions): an outer scalar search on each
+    abscissa's early-exercise boundary.
 
     The boundary is the unique sign change of the smooth-fit slope gap on
     (K, K*e^20].  Log-spaced grids of candidates bracket it, tried in turn
@@ -523,59 +640,32 @@ def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, theta: float) -> 
     AmbiguousBoundaryError, none on any grid NoBoundaryError.  Brent's
     zero-finder (Brent 1973, ch. 4, as the C routine brentq.c runs it) then
     pins the boundary inside the bracket, starting from the scan's gaps at
-    its ends and solving one candidate per step.
+    its ends.  The abscissae's searches run in lockstep, a round solving
+    their candidates as one stack, as are the European and final solves;
+    stacked LAPACK rounds as one call per system, so each solution equals
+    the one solved alone.
     """
     if model.delta <= 0.0:
         raise NoBoundaryError(
             "early exercise of the call requires a positive dividend yield"
         )
-    euro = solve_european_mr(model, spec, theta)
-    k = euro.log_strike
+    euros = solve_european_mr(model, spec, thetas)
+    round_gaps = lambda active, b_log: _gaps(_stack([euros[i] for i in active]), np.array(b_log))
+    b_logs = _lockstep([_brent(*_bracket(euro)) for euro in euros], round_gaps)
 
-    def gap(b_log: np.ndarray) -> np.ndarray:
-        """Smooth-fit gaps at a stack of candidate boundaries."""
-        Q, q, _, _, _ = _assemble(euro, b_log)
-        (w,), _, _ = _solve_dense(Q, [q], "american system")
-        return _smooth_fit_gap(euro, b_log, w)[0]
-
-    for lo, hi, size in _BOUNDARY_GRIDS:
-        pts = k + np.geomspace(lo, hi, size)
-        vals = gap(pts)
-        brackets = [
-            i for i in range(size - 1) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0
-        ]
-        if brackets:
-            break
-    else:
-        raise NoBoundaryError(
-            f"no smooth-fit sign change on (K, K*e^20) at theta={theta} "
-            "(degenerate early-exercise region)"
-        )
-    if len(brackets) > 1:
-        spot_br = [(math.exp(pts[i]), math.exp(pts[i + 1])) for i in brackets]
-        raise AmbiguousBoundaryError(
-            f"{len(brackets)} smooth-fit sign changes found: {spot_br}", spot_br
-        )
-    (i,) = brackets
-    b_log = _brent(
-        lambda b: float(gap(np.array([b]))[0]),
-        float(pts[i]), float(pts[i + 1]), float(vals[i]), float(vals[i + 1]),
-    )
-
-    # one matrix serves the total and both premium-split right-hand sides
-    b = np.array([b_log])
-    Q, q, q0, qJ, _ = _assemble(euro, b)
+    # one matrix per abscissa serves the total and both premium-split
+    # right-hand sides
+    stack, b = _stack(euros), np.array(b_logs)
+    Q, q, q0, qJ, _ = _assemble(stack, b)
     (w, w0, wJ), resid, cond = _solve_dense(Q, [q, q0, qJ], "american system")
-    g, g_scale = _smooth_fit_gap(euro, b, w)
-    return MrAmericanSolution(
-        european=euro,
-        boundary=math.exp(b_log),
-        log_boundary=b_log,
-        coef=np.concatenate([w, w0, wJ]),
-        smooth_fit_residual=float(abs(g[0]) / g_scale[0]),
-        residual_inf=float(resid[0]),
-        cond_estimate=float(cond[0]),
-    )
+    g, g_scale = _smooth_fit_gap(stack, b, w)
+    return [
+        MrAmericanSolution(european=euro, boundary=math.exp(b_log), log_boundary=b_log,
+                           coef=np.stack([w[s], w0[s], wJ[s]]),
+                           smooth_fit_residual=float(abs(g[s]) / g_scale[s]),
+                           residual_inf=float(resid[s]), cond_estimate=float(cond[s]))
+        for s, (euro, b_log) in enumerate(zip(euros, b_logs))
+    ]
 
 
 def eval_eep_mr(sol: MrAmericanSolution, x: float) -> float:

@@ -4,7 +4,8 @@
 bracket it must return exactly what ``brentq`` returns at the tolerances the
 boundary search uses.  The synthetic functions reach each of its branches,
 which a line tracer confirms; the real brackets are every one that the
-American solves behind tools/fingerprint.py's price_summary calls hand to it.
+lockstep boundary search of the quotes behind tools/fingerprint.py's
+price_summary calls hands to it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ SYNTHETIC = [
 
 
 def _brent(f, a: float, b: float) -> float:
-    return pricing._brent(f, a, b, f(a), f(b))
+    """The search on one bracket, driven as the pricer drives many."""
+    search = pricing._brent(a, b, f(a), f(b))
+    return pricing._lockstep([search], lambda _, xs: [f(x) for x in xs])[0]
 
 
 def _branches_taken(runs) -> set[str]:
@@ -140,19 +143,15 @@ def _fingerprint_american() -> list:
 
 @pytest.mark.parametrize("model, spec, t", _fingerprint_american())
 def test_real_brackets_equal_brentq(monkeypatch, model, spec, t):
+    # the 14 abscissae of a quote search their boundaries in lockstep; each
+    # search must end where brentq ends on the one-candidate gap function
     calls, brent = [], pricing._brent
-
-    def recorded(f, a, b, fa, fb):
-        root = brent(f, a, b, fa, fb)
-        calls.append((f, a, b, fa, fb, root))
-        return root
-
-    monkeypatch.setattr(pricing, "_brent", recorded)
-    for k in range(1, 15):
-        solve_american_mr.__wrapped__(model, spec, k * math.log(2.0) / t)
+    monkeypatch.setattr(pricing, "_brent", lambda *bracket: calls.append(bracket) or brent(*bracket))
+    sols = solve_american_mr.__wrapped__(model, spec, tuple(k * math.log(2.0) / t for k in range(1, 15)))
     monkeypatch.undo()
     assert len(calls) == 14
-    for f, a, b, fa, fb, root in calls:
+    for sol, (a, b, fa, fb) in zip(sols, calls):
+        f = lambda x: float(pricing._gaps(sol.european, np.array([x]))[0])
         # the scan's stacked gaps at the bracket's ends equal one-candidate solves
         assert (f(a), f(b)) == (fa, fb)
-        assert root == brentq(f, a, b, **TOL), (a, b)
+        assert sol.log_boundary == brentq(f, a, b, **TOL), (a, b)

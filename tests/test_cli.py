@@ -220,6 +220,9 @@ class TestErrors:
         (["--x-lo", "102", "--x-hi", "98", "--n", "3"], "need x_lo < x_hi"),
         (["--x-lo", "98", "--x-hi", "98", "--n", "3"], "need x_lo < x_hi"),
         (["--x-lo", "98", "--x-hi", "102", "--n", "2"], "need at least 3 grid points"),
+        # a zero spot has a zero bump: no central difference
+        (["--x-lo", "0", "--x-hi", "10", "--n", "3"], "need a positive x_lo, got 0.0"),
+        (["--x-lo", "-5", "--x-hi", "10", "--n", "3"], "need a positive x_lo, got -5.0"),
     ])
     def test_greeks_grid_must_be_valid(self, capsys, config_path, grid, message):
         assert main(["greeks", config_path, "--t", "1", *grid]) == 2

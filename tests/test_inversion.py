@@ -232,12 +232,13 @@ class TestOnePass:
         assert counts.get("gs_invert") == 1
         assert counts.get("eval_european_mr") == counts.get("eval_eep_split_mr") == 14
         assert "eval_american_mr" not in counts
-        assert counts.get("solve_american_mr") == 14 and "solve_european_mr" not in counts
+        # one stacked solve of the 14 abscissae
+        assert counts.get("solve_american_mr") == 1 and "solve_european_mr" not in counts
 
     def test_single_quantities_run_only_their_evaluator(self, monkeypatch, kou_model, step_spec):
         counts = self._count_calls(monkeypatch)
         price_time_domain(kou_model, step_spec, 1.0, 100.0, "euro")
-        assert counts == {"gs_invert": 1, "eval_european_mr": 14, "solve_european_mr": 14}
+        assert counts == {"gs_invert": 1, "eval_european_mr": 14, "solve_european_mr": 1}
         counts.clear()
         price_time_domain(kou_model, step_spec, 1.0, 100.0, "amer")
-        assert counts == {"gs_invert": 1, "eval_american_mr": 14, "solve_american_mr": 14}
+        assert counts == {"gs_invert": 1, "eval_american_mr": 14, "solve_american_mr": 1}

@@ -12,6 +12,7 @@ import pytest
 
 from hejdstep import (
     AmbiguousBoundaryError,
+    ConvergenceError,
     DownOutStepSpec,
     HejdModel,
     NoBoundaryError,
@@ -22,6 +23,7 @@ from hejdstep import (
     eval_eep_mr,
     eval_eep_split_mr,
     eval_european_mr,
+    gs_invert,
     mc_euro_step_price,
     price_summary,
     price_time_domain,
@@ -607,3 +609,149 @@ class TestBoundarySearchExits:
         assert sol.smooth_fit_residual <= 1e-8
         # the scan's stacks, then Brent's and the final solve's one-candidate ones
         assert sizes[: len(stacks)] == stacks and set(sizes[len(stacks):]) == {1}
+
+
+KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),
+                down_weights=(0.3,), down_rates=(50.0,))
+STACK_CASES = [
+    pytest.param(KOU, DownOutStepSpec(100.0, 95.0, 0.0), id="kou-standard"),
+    pytest.param(KOU, DownOutStepSpec(100.0, 95.0, -26.34), id="kou-step"),
+    pytest.param(KOU, DownOutStepSpec(100.0, 95.0, -5.0e7), id="kou-knockout"),
+    pytest.param(KOU, DownOutStepSpec(100.0, 0.0, 0.0), id="kou-zero-barrier"),
+    pytest.param(HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0), DownOutStepSpec(100.0, 95.0, -26.34),
+                 id="lambda-0"),
+    *LOW_VOL_CASES,
+    # boundaries beyond K*e^5 at every abscissa: the scan's second grid
+    pytest.param(replace(KOU, delta=1e-4), DownOutStepSpec(100.0, 95.0, -26.34), id="kou-delta-1e-4"),
+    pytest.param(HEAVY, DownOutStepSpec(100.0, 95.0, -26.34), id="m3n3-step"),
+]
+ABSCISSAE = tuple(k * (math.log(2.0) / 1.0) for k in range(1, 15))
+
+
+def _fields(sol) -> tuple:
+    """Every number an American solution holds, European part included."""
+    euro = sol.european
+    return (sol.log_boundary, sol.boundary, sol.coef.tolist(), sol.smooth_fit_residual, sol.residual_inf,
+            sol.cond_estimate, euro.theta, euro.coef.tolist(), euro.residual_inf, euro.cond_estimate,
+            euro.roots_mid.betas.tolist(), euro.roots_mid.gammas.tolist(), euro.slope_inf, euro.offset_inf,
+            None if euro.roots_low is None else euro.roots_low.betas.tolist())
+
+
+class TestStackedAbscissae:
+    """A quote solves its 14 abscissae as one stack: one European solve,
+    the boundary searches in lockstep, one final solve."""
+
+    @pytest.mark.parametrize("model, spec", STACK_CASES)
+    def test_stack_equals_abscissa_alone(self, model, spec):
+        alone = []
+        for theta in ABSCISSAE:
+            solve_european_mr.cache_clear()
+            alone.append(solve_american_mr.__wrapped__(model, spec, theta))
+        solve_european_mr.cache_clear()
+        stacked = solve_american_mr.__wrapped__(model, spec, ABSCISSAE)
+        assert [_fields(s) for s in stacked] == [_fields(s) for s in alone]  # bit for bit
+
+    def test_failure_at_one_abscissa_raises_as_alone(self, monkeypatch, kou_model, step_spec):
+        # the smooth-fit gap turns NaN at k = 5 only, once Brent's search runs
+        theta5, smooth_fit_gap = ABSCISSAE[4], pricing._smooth_fit_gap
+
+        def nan_at_k5(sol, b_log, w):
+            gap, scale = smooth_fit_gap(sol, b_log, w)
+            if isinstance(sol.theta, np.ndarray):  # a Brent round's stack, not a scan
+                gap = np.where(sol.theta == theta5, math.nan, gap)
+            return gap, scale
+
+        monkeypatch.setattr(pricing, "_smooth_fit_gap", nan_at_k5)
+        solve_european_mr.cache_clear()
+        solve_american_mr.cache_clear()
+        with pytest.raises(ConvergenceError, match="smooth-fit gap is NaN"):
+            solve_american_mr(kou_model, step_spec, ABSCISSAE)
+        assert solve_american_mr.cache_info().currsize == 0  # nothing of the failed stack
+        with pytest.raises(ConvergenceError) as quote:
+            price_summary(kou_model, step_spec, 1.0, 100.0)
+        solve_american_mr.cache_clear()
+        with pytest.raises(ConvergenceError) as alone:
+            gs_invert(lambda th: eval_american_mr(solve_american_mr(kou_model, step_spec, th), 100.0), 1.0)
+        assert str(quote.value) == str(alone.value)
+        assert str(quote.value).endswith(f"theta={theta5:.9g} (k=5, t=1.0)")
+        # abscissae 1-4, solved one by one before k = 5 failed, as alone
+        assert solve_american_mr.cache_info().currsize == 4
+
+    def test_cold_quote_counts_14_misses_per_cache(self, kou_model, step_spec):
+        solve_european_mr.cache_clear()
+        solve_american_mr.cache_clear()
+        price_summary(kou_model, step_spec, 1.0, 100.0)
+        counts = lambda: [solve.cache_info()[:2] for solve in (solve_european_mr, solve_american_mr)]
+        assert counts() == [(0, 14), (0, 14)]
+        price_summary(kou_model, step_spec, 1.0, 100.0)
+        assert counts() == [(0, 14), (14, 14)]  # a warm quote: one lookup per abscissa
+
+    def test_cache_bound_and_failed_solves(self):
+        solved = []
+
+        def solve_stack(model, spec, thetas):
+            if any(math.isnan(th) for th in thetas):
+                raise ValueError("theta must be strictly positive")
+            solved.append(thetas)
+            return [(model, th) for th in thetas]
+
+        solve = pricing._abscissa_cache(solve_stack)
+        assert solve("a", "s", 1.0) == ("a", 1.0) and solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0))
+        assert solved == [(1.0,), (2.0,)]  # only the missing abscissa is solved
+        assert solve.cache_info() == (1, 2, 4096, 2)  # hits and misses per abscissa
+        with pytest.raises(ValueError):
+            solve("b", "s", (3.0, math.nan))
+        assert solve.cache_info().currsize == 2  # nothing of a failed solve
+        solve.cache_clear()
+        assert solve.cache_info() == (0, 0, 4096, 0)
+        solve("a", "s", 1.0)
+        solve("c", "s", tuple(float(k) for k in range(4095)))
+        assert solve.cache_info().currsize == 4096
+        solve("a", "s", 1.0)  # "c" is now the least recently used
+        solve("d", "s", 1.0)  # 4097 solutions: all of "c" goes
+        assert solve.cache_info().currsize == 2
+        solved.clear()
+        solve("a", "s", 1.0)
+        solve("c", "s", 0.0)
+        assert solved == [(0.0,)]
+
+    def test_cache_counts_hold_under_threads(self):
+        # more threads than cores race lookups, inserts and evictions on
+        # shared keys: a lost update breaks the per-abscissa counts
+        from concurrent.futures import ThreadPoolExecutor
+
+        solved, probing = [], []
+
+        def solve_stack(model, spec, thetas):
+            if probing:
+                raise LookupError("not cached")
+            solved.extend((model, th) for th in thetas)
+            return [(model, th) for th in thetas]
+
+        solve = pricing._abscissa_cache(solve_stack)
+
+        def client(i):
+            for j in range(50):
+                thetas = (float(i), float(i + 1), float(j + 100 * i))
+                assert solve(j % 25 + 25 * (i % 3), "s", thetas)[2][1] == j + 100 * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(client, i) for i in range(64)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        info = solve.cache_info()
+        assert info.hits + info.misses == 64 * 50 * 3
+        assert info.misses == len(solved)  # every miss solved once, nothing counted twice
+        # currsize is the number of solutions the cache holds: probe each
+        probing.append(True)
+        held = 0
+        for key, theta in set(solved):
+            try:
+                held += solve(key, "s", theta) == (key, theta)
+            except LookupError:
+                pass
+        assert 1000 < held == info.currsize <= 4096

@@ -25,11 +25,17 @@ outputs on:
   value, on the Kou step contract at spots 100, 115 (inside the span of its
   randomized exercise boundaries) and 130, fresh and with seasoning 0.05.
   This is the single-quantity path that the greeks surfaces, the
-  Monte-Carlo cross-check and ``price --quantity`` take.
+  Monte-Carlo cross-check and ``price --quantity`` take;
+- the randomized exercise boundary, ``log_boundary`` of
+  ``solve_american_mr(model, spec, k log2 / t)`` at k = 1..14, for every
+  distinct (model, spec, t) of the price_summary contracts and for the
+  jump-heavy m = n = 3 market with the step contract at t = 1.  They pin
+  the boundary search's result itself, beside the prices built on it.
 
-That is 490 values; the first 460 are the ones listed before the
-single-quantity prices.  A contract that raises prints its error type and
-message instead.  Run from the root of a checkout:
+That is 756 values; the first 460 are the ones listed before the
+single-quantity prices, and the first 490 the ones before the boundaries.
+A contract or solve that raises prints its error type and message instead.
+Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/fingerprint.py
 
@@ -43,6 +49,7 @@ it differs.  A change that moves a bit updates that file and says why.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from dataclasses import replace
 
@@ -128,6 +135,17 @@ def lines() -> list[str]:
                     out.append(f"{label} {price_time_domain(KOU, spec, 1.0, x, q).hex()}")
                 except hejdstep.HejdStepError as exc:
                     out.append(f"{label} {type(exc).__name__}: {exc}")
+    cases = {(model, spec, t): name for name, model, spec, t, _ in contracts()}
+    cases[(HEAVY, STEP, 1.0)] = "m3n3 rho=-26.34"
+    for (model, spec, t), name in cases.items():
+        for k in range(1, 15):
+            # the abscissa exactly as gs_invert computes it
+            label = f"solve_american_mr[{name} t={t!r} k={k}].log_boundary"
+            try:
+                sol = hejdstep.solve_american_mr(model, spec, k * (math.log(2.0) / t))
+                out.append(f"{label} {sol.log_boundary.hex()}")
+            except hejdstep.HejdStepError as exc:
+                out.append(f"{label} {type(exc).__name__}: {exc}")
     return out
 
 
