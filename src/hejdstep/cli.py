@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import parse_config
+from .config import config_values, parse_config
 from .errors import ConfigError, HejdStepError, OrderError
 from .inversion import DEFAULT_GS_ORDER, QUANTITIES, price_summary, price_time_domain
 from .model import DownOutStepSpec, HejdModel
 from .montecarlo import PathConfig, verify_duality
-from .roots import find_roots, root_brackets
+from .roots import find_roots
 from .tables import TABLE_IDS, build_table
 
 
@@ -67,14 +67,8 @@ def _manifest(args: argparse.Namespace, model: HejdModel | None, spec: DownOutSt
         "command": args.command,
         "engine_version": __version__,
         "gs_order": parameters.pop("gs_order", None),
-        "model": {} if model is None else {
-            "r": model.r, "delta": model.delta, "sigma": model.sigma, "lambda": model.lam,
-            "p": list(model.up_weights), "xi": list(model.up_rates),
-            "q": list(model.down_weights), "eta": list(model.down_rates),
-        },
-        "contract": {} if spec is None else {
-            "K": spec.strike, "L": spec.barrier, "rho_L": spec.knock_rate, "gamma_L": spec.seasoning,
-        },
+        "model": config_values(model),
+        "contract": config_values(spec),
         "parameters": parameters,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
     }
@@ -137,12 +131,9 @@ def _cmd_greeks(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpe
 
 def _cmd_roots(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpec) -> tuple[dict, str]:
     roots = find_roots(model, args.alpha)
-    brackets = root_brackets(model)
     rows = [
         {"root": root, "kind": kind, "index": i + 1, "bracket_lo": lo, "bracket_hi": hi}
-        for kind, found, intervals in (("beta", roots.betas, brackets[: model.m + 1]),
-                                       ("gamma", roots.gammas, brackets[model.m + 1 :]))
-        for i, (root, (lo, hi)) in enumerate(zip(found, intervals))
+        for kind, i, root, lo, hi in roots.labelled(model)
     ]
     doc = {"alpha": roots.alpha, "max_residual": roots.max_residual, "roots": rows}
     lines = [f"roots of Phi(theta) = {roots.alpha} (max residual {roots.max_residual:.3e})"]

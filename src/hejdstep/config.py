@@ -12,11 +12,21 @@ from pathlib import Path
 from .errors import ConfigError
 from .model import DownOutStepSpec, HejdModel
 
-__all__ = ["parse_config", "parse_config_text"]
+__all__ = ["config_values", "parse_config", "parse_config_text"]
 
-_SCALAR_KEYS = ("r", "delta", "sigma", "lambda", "K", "L", "rho_L", "gamma_L")
+# each config key -> the model or contract field it sets, in the order of the single-value check
+_MODEL_FIELDS = {"r": "r", "delta": "delta", "sigma": "sigma", "lambda": "lam",
+                 "p": "up_weights", "xi": "up_rates", "q": "down_weights", "eta": "down_rates"}
+_CONTRACT_FIELDS = {"K": "strike", "L": "barrier", "rho_L": "knock_rate", "gamma_L": "seasoning"}
 _ARRAY_KEYS = ("p", "xi", "q", "eta")
 _REQUIRED = ("r", "delta", "sigma", "lambda", "K")
+
+
+def config_values(obj: HejdModel | DownOutStepSpec | None) -> dict:
+    """The config keys of a model or contract with their values, arrays as
+    lists; {} for None."""
+    fields = {} if obj is None else _MODEL_FIELDS if isinstance(obj, HejdModel) else _CONTRACT_FIELDS
+    return {key: list(getattr(obj, f)) if key in _ARRAY_KEYS else getattr(obj, f) for key, f in fields.items()}
 
 
 def _parse_floats(raw: str) -> list[float]:
@@ -37,7 +47,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple[HejdModel, D
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip().removesuffix("[]")
-        if key not in _SCALAR_KEYS + _ARRAY_KEYS:
+        if key not in _MODEL_FIELDS and key not in _CONTRACT_FIELDS:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
@@ -46,28 +56,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple[HejdModel, D
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"{origin}: missing required key {key!r}")
-    for key in _SCALAR_KEYS:
-        if key in values and len(values[key]) != 1:
+    for key in {**_MODEL_FIELDS, **_CONTRACT_FIELDS}:
+        if key not in _ARRAY_KEYS and key in values and len(values[key]) != 1:
             raise ConfigError(f"{origin}: key {key!r} must hold a single value")
-
-    scalar = lambda key, default=None: values[key][0] if key in values else default
+    values.setdefault("L", [0.0])
+    fields = lambda keys: {f: values[k] if k in _ARRAY_KEYS else values[k][0] for k, f in keys.items() if k in values}
     try:
-        model = HejdModel(
-            r=scalar("r"),
-            delta=scalar("delta"),
-            sigma=scalar("sigma"),
-            lam=scalar("lambda"),
-            up_weights=values.get("p", ()),
-            up_rates=values.get("xi", ()),
-            down_weights=values.get("q", ()),
-            down_rates=values.get("eta", ()),
-        )
-        spec = DownOutStepSpec(
-            strike=scalar("K"),
-            barrier=scalar("L", 0.0),
-            knock_rate=scalar("rho_L", 0.0),
-            seasoning=scalar("gamma_L", 0.0),
-        )
+        model = HejdModel(**fields(_MODEL_FIELDS))
+        spec = DownOutStepSpec(**fields(_CONTRACT_FIELDS))
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
     return model, spec

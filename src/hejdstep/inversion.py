@@ -80,6 +80,12 @@ def _check_maturity(t: float) -> float:
     return t
 
 
+def _abscissae(t: float, order: int) -> tuple[float, ...]:
+    """The 2*order abscissae k log2 / t, k = 1..2*order, rounded as gs_invert uses them."""
+    step = math.log(2.0) / t
+    return tuple([k * step for k in range(1, 2 * order + 1)])
+
+
 def gs_invert(F: Callable[[float], float | tuple], t: float, order: int = DEFAULT_GS_ORDER) -> float | tuple:
     """Invert the transform F at time t: sum_k zeta_k F(k log2 / t).
 
@@ -99,10 +105,8 @@ def gs_invert(F: Callable[[float], float | tuple], t: float, order: int = DEFAUL
     """
     weights = _float_weights(order)
     t = _check_maturity(t)
-    log2_over_t = math.log(2.0) / t
     values = []
-    for k in range(1, len(weights) + 1):
-        theta_k = k * log2_over_t
+    for k, theta_k in enumerate(_abscissae(t, order), start=1):
         try:
             values.append(F(theta_k))
         except Exception as exc:
@@ -143,8 +147,7 @@ def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
     if x == 0.0:
         return dict.fromkeys(quantities, 0.0)
     solve = solve_european_mr if quantities == ("euro",) else solve_american_mr
-    log2_over_t = math.log(2.0) / t  # gs_invert's abscissae, solved in one stacked call
-    thetas = tuple([k * log2_over_t for k in range(1, 2 * order + 1)])
+    thetas = _abscissae(t, order)  # gs_invert's abscissae, solved in one stacked call
     try:
         solved = dict(zip(thetas, solve(model, spec, thetas)))
     except Exception:  # gs_invert solves one by one and raises the first failure, annotated

@@ -87,39 +87,24 @@ def build_table(table_id: int, order: int = DEFAULT_GS_ORDER) -> TableResult:
     zero (spot at or below the barrier in the knock-out limit) report nan for
     the percentage columns.
     """
-    t = BASE_PARAMS["horizon"]
-    rhos = (RHO_STANDARD, RHO_STEP, RHO_BARRIER)
-    if table_id == 1:
-        header = ("lambda",) + tuple(
-            f"{c}_{q}" for c in ("standard", "step", "barrier") for q in ("euro", "amer", "dc_pct")
-        )
-        rows = []
-        for lam in _TABLE1_LAMBDAS:
-            model = table_model(1, lam)
-            row: list[float] = [lam]
-            for rho in rhos:
-                s = price_summary(model, table_spec(rho), t, 100.0, order)
-                row += [s["euro"], s["amer"], s["dc_pct"]]
-            rows.append(tuple(row))
-        return TableResult(1, header, tuple(rows))
-
-    if table_id not in _GRIDS:
+    if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id}; expected one of {TABLE_IDS}")
-    header = ("block", "lambda", "spot") + tuple(
-        f"{c}_{q}"
-        for c in ("standard", "step", "barrier")
-        for q in ("euro", "eep", "eep_pct", "dc_pct")
-    )
+    # each grid point: (leading values, model, spot)
+    if table_id == 1:
+        lead, columns = ("lambda",), ("euro", "amer", "dc_pct")
+        grid = [((lam,), table_model(1, lam), 100.0) for lam in _TABLE1_LAMBDAS]
+    else:
+        lead, columns = ("block", "lambda", "spot"), ("euro", "eep", "eep_pct", "dc_pct")
+        grid = [((float(block), lam, x), table_model(table_id, lam), x)
+                for block, lam in _GRIDS[table_id]["blocks"] for x in _SPOTS]
+    header = lead + tuple(f"{c}_{q}" for c in ("standard", "step", "barrier") for q in columns)
     rows = []
-    for block, lam in _GRIDS[table_id]["blocks"]:
-        model = table_model(table_id, lam)
-        for x in _SPOTS:
-            row = [float(block), lam, x]
-            for rho in rhos:
-                s = price_summary(model, table_spec(rho), t, x, order)
-                if s["euro"] < 5e-4 and s["eep"] < 5e-4:  # knocked-out rows print 0 / --
-                    row += [s["euro"], s["eep"], math.nan, math.nan]
-                else:
-                    row += [s["euro"], s["eep"], s["eep_pct"], s["dc_pct"]]
-            rows.append(tuple(row))
+    for values, model, x in grid:
+        row = list(values)
+        for rho in (RHO_STANDARD, RHO_STEP, RHO_BARRIER):
+            s = price_summary(model, table_spec(rho), BASE_PARAMS["horizon"], x, order)
+            if "eep" in columns and s["euro"] < 5e-4 and s["eep"] < 5e-4:  # knocked-out rows print 0 / --
+                s["eep_pct"] = s["dc_pct"] = math.nan
+            row += [s[q] for q in columns]
+        rows.append(tuple(row))
     return TableResult(table_id, header, tuple(rows))

@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 
 from hejdstep import ConvergenceError, solve_american_mr
 from hejdstep import pricing
+from hejdstep.inversion import _abscissae
 
 TOL = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
@@ -143,11 +144,12 @@ def _fingerprint_american() -> list:
 
 @pytest.mark.parametrize("model, spec, t", _fingerprint_american())
 def test_real_brackets_equal_brentq(monkeypatch, model, spec, t):
-    # the 14 abscissae of a quote search their boundaries in lockstep; each
-    # search must end where brentq ends on the one-candidate gap function
+    # the 14 abscissae of a quote, exactly as gs_invert rounds them, search
+    # their boundaries in lockstep; each search must end where brentq ends on
+    # the one-candidate gap function
     calls, brent = [], pricing._brent
     monkeypatch.setattr(pricing, "_brent", lambda *bracket: calls.append(bracket) or brent(*bracket))
-    sols = solve_american_mr.__wrapped__(model, spec, tuple(k * math.log(2.0) / t for k in range(1, 15)))
+    sols = solve_american_mr.__wrapped__(model, spec, _abscissae(t, 7))
     monkeypatch.undo()
     assert len(calls) == 14
     for sol, (a, b, fa, fb) in zip(sols, calls):

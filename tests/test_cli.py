@@ -11,7 +11,7 @@ import pytest
 
 from hejdstep import ConfigError, PathConfig, mc_euro_step_price, price_summary, pricing
 from hejdstep.cli import main
-from hejdstep.config import parse_config, parse_config_text
+from hejdstep.config import config_values, parse_config, parse_config_text
 
 KOU_CONFIG = """\
 # lambda-ladder market, step contract
@@ -287,6 +287,38 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as info:
             parse_config_text(KOU_CONFIG.replace(*edit))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(KOU_CONFIG, id="kou"),
+        pytest.param("r = 0.05\ndelta = 0.07\nsigma = 0.2\nlambda = 10\np[] = 0.2, 0.15, 0.1\nxi = 10 25 50\n"
+                     "q = 0.25 0.2 0.1\neta = 8 20 45\nK = 100\nL = 95\nrho_L = -26.34\ngamma_L = 0.05\n", id="m3n3"),
+        # L, rho_L and gamma_L left out: a zero barrier, no knock rate, no seasoning
+        pytest.param("r = 0.05\ndelta = 0.07\nsigma = 0.2\nlambda = 0\nK = 100\n", id="zero-barrier"),
+    ])
+    def test_config_values_round_trip(self, capsys, tmp_path, text):
+        model, spec = parse_config_text(text)
+        written = "".join(f"{key} = {' '.join(map(repr, v)) if isinstance(v, list) else repr(v)}\n"
+                          for obj in (model, spec) for key, v in config_values(obj).items())
+        assert parse_config_text(written) == (model, spec)
+        path = tmp_path / "market.cfg"
+        path.write_text(text)
+        assert main(["price", str(path), "--t", "1", "--x", "100", "--format", "json"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert (manifest["model"], manifest["contract"]) == (config_values(model), config_values(spec))
+        assert config_values(None) == {}
+
+    @pytest.mark.parametrize("edits, key", [
+        ((("sigma = 0.2", "sigma = 0.2 0.3"), ("r = 0.05", "r = 0.05 0.06")), "r"),
+        ((("gamma_L = 0", "gamma_L = 0 1"), ("K = 100", "K = 100 110")), "K"),
+    ])
+    def test_single_value_check_runs_in_key_order(self, edits, key):
+        # the first offending key in the order r, delta, sigma, lambda, K, L,
+        # rho_L, gamma_L is named, wherever the file puts it
+        text = KOU_CONFIG
+        for edit in edits:
+            text = text.replace(*edit)
+        with pytest.raises(ConfigError, match=f"key '{key}' must hold a single value"):
+            parse_config_text(text)
 
 
 class TestJson:

@@ -10,6 +10,7 @@ from hejdstep import (
     QUANTITIES,
     DownOutStepSpec,
     HejdModel,
+    HejdStepError,
     OrderError,
     SingularSystemError,
     gs_invert,
@@ -75,6 +76,7 @@ class TestInvert:
         gs_invert(lambda th: seen.append(th) or 1.0, 2.5, 4)
         want = [k * math.log(2.0) / 2.5 for k in range(1, 9)]
         assert seen == pytest.approx(want, rel=1e-15)
+        assert tuple(seen) == inversion._abscissae(2.5, 4)  # the abscissae a quote solves, bit for bit
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -242,3 +244,30 @@ class TestOnePass:
         counts.clear()
         price_time_domain(kou_model, step_spec, 1.0, 100.0, "amer")
         assert counts == {"gs_invert": 1, "eval_american_mr": 14, "solve_american_mr": 1}
+
+
+SILENT_FAULTS = [
+    pytest.param(
+        HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),
+                  down_weights=(0.3,), down_rates=(50.0,)),
+        DownOutStepSpec(100.0, 95.0, -26.34), 300.0, 100.0,
+        marks=pytest.mark.xfail(strict=True, reason="long maturity: returns euro = -7.39922e-05 and "
+                                "eep_pct = 100.001 (amer 5.09397, eep 5.09405) without an error"),
+        id="kou-step-t300"),
+    pytest.param(
+        HejdModel(r=0.05, delta=0.07, sigma=0.005, lam=0.0), DownOutStepSpec(100.0, 50.0, -26.34), 1.0, 80.0,
+        marks=pytest.mark.xfail(strict=True, reason="low volatility: returns euro = -2.42812e-165 and "
+                                "eep_pct = 106.888 (amer 3.52536e-164) without an error"),
+        id="lambda0-sigma0.005"),
+]
+
+
+@pytest.mark.parametrize("model, spec, t, x", SILENT_FAULTS)
+def test_summary_below_the_inversion_error_is_refused_or_sound(model, spec, t, x):
+    """A price below the inversion's error bound must raise a typed error,
+    or come out as a non-negative price with a premium share in [0, 100]."""
+    try:
+        s = price_summary(model, spec, t, x)
+    except HejdStepError:
+        return
+    assert s["euro"] >= 0.0 and 0.0 <= s["eep_pct"] <= 100.0, s

@@ -31,6 +31,7 @@ from hejdstep import (
     solve_european_mr,
 )
 from hejdstep import pricing
+from hejdstep.inversion import _abscissae
 from conftest import random_model, random_spec, stehfest_weights
 from oracles import oide_residual
 
@@ -625,7 +626,7 @@ STACK_CASES = [
     pytest.param(replace(KOU, delta=1e-4), DownOutStepSpec(100.0, 95.0, -26.34), id="kou-delta-1e-4"),
     pytest.param(HEAVY, DownOutStepSpec(100.0, 95.0, -26.34), id="m3n3-step"),
 ]
-ABSCISSAE = tuple(k * (math.log(2.0) / 1.0) for k in range(1, 15))
+ABSCISSAE = _abscissae(1.0, 7)
 
 
 def _fields(sol) -> tuple:

@@ -30,10 +30,13 @@ outputs on:
   ``solve_american_mr(model, spec, k log2 / t)`` at k = 1..14, for every
   distinct (model, spec, t) of the price_summary contracts and for the
   jump-heavy m = n = 3 market with the step contract at t = 1.  They pin
-  the boundary search's result itself, beside the prices built on it.
+  the boundary search's result itself, beside the prices built on it;
+- every cell of ``build_table(3)`` and ``build_table(4)``, the grid tables
+  that the lines above leave out.
 
-That is 756 values; the first 460 are the ones listed before the
-single-quantity prices, and the first 490 the ones before the boundaries.
+That is 1116 values; the first 460 are the ones listed before the
+single-quantity prices, the first 490 the ones before the boundaries, and
+the first 756 the ones before tables 3 and 4.
 A contract or solve that raises prints its error type and message instead.
 Run from the root of a checkout:
 
@@ -59,6 +62,14 @@ import hejdstep
 from hejdstep import (QUANTITIES, DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary,
                       price_time_domain, verify_duality)
 from hejdstep.tables import build_table
+
+try:
+    from hejdstep.inversion import _abscissae
+except ImportError:
+    # tools/bench.py runs this file on a parent tree, which may predate
+    # inversion._abscissae; the abscissae as gs_invert rounded them there
+    def _abscissae(t, order):
+        return tuple(k * (math.log(2.0) / t) for k in range(1, 2 * order + 1))
 
 KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
                 up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
@@ -107,6 +118,15 @@ def contracts() -> list[tuple[str, HejdModel, DownOutStepSpec, float, float]]:
     return out
 
 
+def table_lines(table_ids) -> list[str]:
+    out = []
+    for table_id in table_ids:
+        table = build_table(table_id)
+        for i, row in enumerate(table.rows):
+            out += [f"table{table_id}[{i}].{col} {float(v).hex()}" for col, v in zip(table.header, row)]
+    return out
+
+
 def lines() -> list[str]:
     out = []
     for name, model, spec, t, x in contracts():
@@ -117,10 +137,7 @@ def lines() -> list[str]:
             out.append(f"{label} {type(exc).__name__}: {exc}")
             continue
         out += [f"{label}.{key} {value.hex()}" for key, value in summary.items()]
-    for table_id in (1, 2):
-        table = build_table(table_id)
-        for i, row in enumerate(table.rows):
-            out += [f"table{table_id}[{i}].{col} {float(v).hex()}" for col, v in zip(table.header, row)]
+    out += table_lines((1, 2))
     est = mc_euro_step_price(KOU, STEP, 1.0, 100.0, PathConfig(n_paths=10_000, seed=2026))
     out += [f"mc_euro_step_price.value {est.value.hex()}", f"mc_euro_step_price.std_error {est.std_error.hex()}"]
     report = verify_duality(HEAVY, STEP, 0.25, 100.0, PathConfig(n_paths=10_000, seed=2026))
@@ -138,15 +155,14 @@ def lines() -> list[str]:
     cases = {(model, spec, t): name for name, model, spec, t, _ in contracts()}
     cases[(HEAVY, STEP, 1.0)] = "m3n3 rho=-26.34"
     for (model, spec, t), name in cases.items():
-        for k in range(1, 15):
-            # the abscissa exactly as gs_invert computes it
+        for k, theta in enumerate(_abscissae(t, 7), start=1):
             label = f"solve_american_mr[{name} t={t!r} k={k}].log_boundary"
             try:
-                sol = hejdstep.solve_american_mr(model, spec, k * (math.log(2.0) / t))
+                sol = hejdstep.solve_american_mr(model, spec, theta)
                 out.append(f"{label} {sol.log_boundary.hex()}")
             except hejdstep.HejdStepError as exc:
                 out.append(f"{label} {type(exc).__name__}: {exc}")
-    return out
+    return out + table_lines((3, 4))
 
 
 def main() -> int:
