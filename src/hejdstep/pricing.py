@@ -386,34 +386,28 @@ def _abscissa_cache(solve_stack: Callable) -> Callable:
     """Cache in front of solve_stack(model, spec, thetas), which solves a
     tuple of abscissae of one (model, spec) together.  The cached function
     takes one theta or a tuple of them and returns one solution or a tuple;
-    it solves the missing abscissae together, keeps nothing of a solve that
-    raises, and keys by (model, spec), then theta.  Above 4096 solutions the
-    least recently used (model, spec) go, whole.  cache_info() counts per
-    abscissa, as lru_cache does; __wrapped__ solves without the cache."""
-    lock, groups = threading.Lock(), OrderedDict()  # (model, spec) -> {theta: solution}
+    it keys by the whole stack (model, spec, thetas) and keeps nothing of a
+    solve that raises.  Above 4096 solutions the least recently used stacks
+    go.  cache_info() counts per abscissa, as lru_cache does; __wrapped__
+    solves without the cache."""
+    lock, stacks = threading.Lock(), OrderedDict()  # (model, spec, thetas) -> solutions
     info = dict(hits=0, misses=0, maxsize=4096, currsize=0)
 
     def lookup(model, spec, thetas: tuple) -> tuple:
-        key = (model, spec)
+        key = (model, spec, thetas)
         with lock:
-            group = groups.get(key, {})
-            if group:
-                groups.move_to_end(key)
-            missing = tuple(dict.fromkeys([th for th in thetas if th not in group]))
-            info["hits"] += len(thetas) - len(missing)
-            info["misses"] += len(missing)
-        if not missing:
-            return tuple([group[th] for th in thetas])
-        solved = dict(zip(missing, solve_stack(model, spec, missing)))
-        with lock:
-            current = groups.setdefault(key, {})
-            groups.move_to_end(key)
-            info["currsize"] += sum(th not in current for th in solved)
-            current.update(solved)
-            while info["currsize"] > info["maxsize"]:
-                info["currsize"] -= len(groups.popitem(last=False)[1])
-        # a group's entries are never removed, only whole groups
-        return tuple([solved[th] if th in solved else group[th] for th in thetas])
+            solved = stacks.get(key)
+            if solved is not None:
+                stacks.move_to_end(key)
+            info["misses" if solved is None else "hits"] += len(thetas)
+        if solved is None and thetas:  # an empty stack is (), unsolved
+            solved = tuple(solve_stack(model, spec, thetas))
+            with lock:  # pop: a racing thread may have stored the same stack
+                info["currsize"] += len(solved) - len(stacks.pop(key, ()))
+                stacks[key] = solved
+                while info["currsize"] > info["maxsize"]:
+                    info["currsize"] -= len(stacks.popitem(last=False)[1])
+        return solved or ()
 
     def per_theta(run: Callable) -> Callable:  # one theta, or a tuple of them
         return lambda model, spec, theta: (
@@ -421,7 +415,7 @@ def _abscissa_cache(solve_stack: Callable) -> Callable:
 
     def cache_clear() -> None:
         with lock:
-            groups.clear()
+            stacks.clear()
             info.update(hits=0, misses=0, currsize=0)
 
     solve = functools.update_wrapper(per_theta(lookup), solve_stack)

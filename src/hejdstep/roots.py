@@ -66,7 +66,7 @@ class RootSet:
             floor = 4.0 * abs(_phi_prime_raw(model, root)) * math.ulp(abs(root))
             if resid > max(tol, floor):
                 raise ConvergenceError(
-                    f"residual {resid:.3e} at root {root!r} exceeds tolerance {tol:.3e}"
+                    f"residual {resid:.3e} at root {float(root)!r} exceeds tolerance {tol:.3e}"
                 )
 
 

@@ -6,10 +6,12 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
 
 import pytest
 
-from hejdstep import ConfigError, PathConfig, mc_euro_step_price, price_summary, pricing
+from hejdstep import ConfigError, PathConfig, __version__, mc_euro_step_price, price_summary, pricing
 from hejdstep.cli import main
 from hejdstep.config import config_values, parse_config, parse_config_text
 
@@ -529,3 +531,15 @@ class TestVerify:
         d1, d2 = json.loads(out1), json.loads(out2)
         d1.pop("manifest"), d2.pop("manifest")  # timestamps differ
         assert d1 == d2
+
+
+class TestEntryPoint:
+    def test_module_runs_main(self, monkeypatch, capsys):
+        # python -m hejdstep.cli runs main() on the command line.  runpy
+        # warns about a module already imported, so the run sees none
+        monkeypatch.delitem(sys.modules, "hejdstep.cli")
+        monkeypatch.setattr(sys, "argv", ["hejdstep", "--version"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("hejdstep.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"hejdstep {__version__}\n"

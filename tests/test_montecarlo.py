@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 
@@ -129,6 +130,14 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(switch)
         assert threading.active_count() == threads_before
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # where the OS keeps no affinity mask every CPU counts, and at least one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
 
     def test_helper_failure_reaches_caller(self, monkeypatch, kou_model):
         helper_ran = threading.Event()

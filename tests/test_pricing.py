@@ -108,6 +108,15 @@ class TestEuropeanSystem:
         with pytest.raises(ValueError, match="theta must be strictly positive"):
             solve_european_mr(kou_model, step_spec, theta)
 
+    def test_failed_condition_estimate_raises(self, monkeypatch, kou_model, step_spec):
+        def no_svd(Q):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        with pytest.raises(SingularSystemError) as info:
+            solve_european_mr.__wrapped__(kou_model, step_spec, THETA)
+        assert str(info.value) == "european system: condition estimate failed (SVD did not converge)"
+
     def test_linear_growth_at_infinity(self, kou_euro):
         x = 1e9
         ratio = eval_european_mr(kou_euro, x) / x
@@ -698,23 +707,25 @@ class TestStackedAbscissae:
 
         solve = pricing._abscissa_cache(solve_stack)
         assert solve("a", "s", 1.0) == ("a", 1.0) and solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0))
-        assert solved == [(1.0,), (2.0,)]  # only the missing abscissa is solved
-        assert solve.cache_info() == (1, 2, 4096, 2)  # hits and misses per abscissa
+        assert solved == [(1.0,), (1.0, 2.0)]  # an overlapping stack is solved whole
+        assert solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0)) and len(solved) == 2
+        assert solve.cache_info() == (2, 3, 4096, 3)  # hits and misses per abscissa
         with pytest.raises(ValueError):
             solve("b", "s", (3.0, math.nan))
-        assert solve.cache_info().currsize == 2  # nothing of a failed solve
+        assert solve.cache_info().currsize == 3  # nothing of a failed solve
         solve.cache_clear()
         assert solve.cache_info() == (0, 0, 4096, 0)
         solve("a", "s", 1.0)
         solve("c", "s", tuple(float(k) for k in range(4095)))
         assert solve.cache_info().currsize == 4096
-        solve("a", "s", 1.0)  # "c" is now the least recently used
-        solve("d", "s", 1.0)  # 4097 solutions: all of "c" goes
+        solve("a", "s", 1.0)  # the stack of "c" is now the least recently used
+        solve("d", "s", 1.0)  # 4097 solutions: the whole stack of "c" goes
         assert solve.cache_info().currsize == 2
         solved.clear()
         solve("a", "s", 1.0)
         solve("c", "s", 0.0)
         assert solved == [(0.0,)]
+        assert solve("a", "s", ()) == () and solved == [(0.0,)]  # an empty stack solves nothing
 
     def test_cache_counts_hold_under_threads(self):
         # more threads than cores race lookups, inserts and evictions on
@@ -726,15 +737,17 @@ class TestStackedAbscissae:
         def solve_stack(model, spec, thetas):
             if probing:
                 raise LookupError("not cached")
-            solved.extend((model, th) for th in thetas)
+            solved.append((model, thetas))
             return [(model, th) for th in thetas]
 
         solve = pricing._abscissa_cache(solve_stack)
 
         def client(i):
+            # threads 2k and 2k + 1 ask for the same 25 stacks of 6, twice:
+            # 800 stacks, 4800 solutions, so the bound evicts
             for j in range(50):
-                thetas = (float(i), float(i + 1), float(j + 100 * i))
-                assert solve(j % 25 + 25 * (i % 3), "s", thetas)[2][1] == j + 100 * i
+                thetas = (float(i // 2), float(j % 25), 2.0, 3.0, 4.0, 5.0)
+                assert solve(j % 5, "s", thetas)[1] == (j % 5, float(j % 25))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -745,14 +758,15 @@ class TestStackedAbscissae:
         finally:
             sys.setswitchinterval(interval)
         info = solve.cache_info()
-        assert info.hits + info.misses == 64 * 50 * 3
-        assert info.misses == len(solved)  # every miss solved once, nothing counted twice
-        # currsize is the number of solutions the cache holds: probe each
+        assert info.hits + info.misses == 64 * 50 * 6 and info.hits > 0
+        # every miss solved its stack once, nothing counted twice
+        assert info.misses == sum(len(thetas) for _, thetas in solved)
+        # currsize is the number of solutions the cache holds: probe each stack
         probing.append(True)
         held = 0
-        for key, theta in set(solved):
+        for key, thetas in set(solved):
             try:
-                held += solve(key, "s", theta) == (key, theta)
+                held += len(thetas) * (solve(key, "s", thetas) == tuple((key, th) for th in thetas))
             except LookupError:
                 pass
         assert 1000 < held == info.currsize <= 4096

@@ -9,11 +9,14 @@ import pytest
 
 from hejdstep import (
     BracketError,
+    ConvergenceError,
     HejdModel,
+    RootSet,
     dual_model,
     find_roots,
     laplace_exponent,
 )
+from hejdstep import roots as roots_module
 from hejdstep.model import _phi_prime_raw, _phi_raw
 from conftest import random_model
 
@@ -178,3 +181,27 @@ class TestErrorPaths:
         with pytest.raises(BracketError) as info:
             find_roots(model, alpha)
         assert str(info.value) == message
+
+    def test_root_count_must_match_mixture(self, kou_model):
+        roots = RootSet(alpha=1.0, betas=np.array([1.0]), gammas=np.array([-1.0, -60.0]), max_residual=0.0)
+        with pytest.raises(BracketError) as info:
+            roots.validate(kou_model)
+        assert str(info.value) == "root count does not match mixture size"
+
+    def test_residual_error_names_the_root_as_a_float(self, monkeypatch, kou_model):
+        # every root moved by a relative 1e-12 still interlaces, but the
+        # first one's residual then exceeds 1e-12 * alpha
+        root = roots_module._root
+        monkeypatch.setattr(roots_module, "_root", lambda *args: root(*args) * (1.0 + 1e-12))
+        with pytest.raises(ConvergenceError) as info:
+            find_roots(kou_model, 5.05)
+        message = str(info.value)
+        assert message == "residual 1.200e-11 at root 15.70488725860194 exceeds tolerance 5.050e-12"
+        assert "np.float64" not in message
+
+    def test_bisection_exits(self, kou_model):
+        # f is exactly 0 at lo: lo is the root; no sign change: no root
+        assert roots_module._bisect_newton(kou_model, _phi_raw(kou_model, 1.0), 1.0, 2.0) == 1.0
+        with pytest.raises(BracketError) as info:
+            roots_module._bisect_newton(kou_model, 1e6, 1.0, 2.0)
+        assert str(info.value) == "no sign change in (1.0, 2.0) for alpha=1000000.0"

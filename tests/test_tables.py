@@ -51,6 +51,11 @@ class TestGoldenRows:
 
 
 class TestBuildTable:
+    def test_unknown_table_id(self):
+        with pytest.raises(ValueError) as info:
+            build_table(5)
+        assert str(info.value) == "unknown table id 5; expected one of (1, 2, 3, 4)"
+
     def test_structure_of_grid_tables(self):
         result = build_table(3)
         assert len(result.rows) == 12  # 2 blocks x 6 spots

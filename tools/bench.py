@@ -12,11 +12,12 @@ checkout, run against that side's ``src``).  Run from the root of a checkout:
 
     python3 tools/bench.py --parent ../parent --out BENCH_18.json --seeds 2-11
 
-A metric's gain is claimed only when the change wins at least nine tenths of
-the pairs (ties count for neither) and the medians differ by more than the
-parent's interquartile spread; ``gain`` records that rule and ``within_bound``
-whether the change's median is worse than the parent's by at most the bound
-``BENCHMARK.json`` fixes.
+A metric's gain is claimed only on at least ten pairs, when the change wins
+at least nine tenths of them (ties count for neither) and the medians differ
+by more than the parent's interquartile spread; ``gain`` records that rule
+and ``within_bound`` whether the change's median is worse than the parent's
+by at most the bound ``BENCHMARK.json`` fixes.  With fewer pairs the
+parent's spread says nothing (one pair has none), so no gain is claimed.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
         out[name] = {
             "parent": ps, "change": cs, "wins": wins, "losses": losses, "pairs": len(p),
             "change_over_parent": cs["median"] / ps["median"] if ps["median"] else None,
-            "gain": wins >= 0.9 * len(p) and -worse > ps["q3"] - ps["q1"],
+            "gain": len(p) >= 10 and wins >= 0.9 * len(p) and -worse > ps["q3"] - ps["q1"],
             "within_bound": worse <= m["bound"] * abs(ps["median"]),
         }
     return out

@@ -30,7 +30,11 @@ outputs on:
   ``solve_american_mr(model, spec, k log2 / t)`` at k = 1..14, for every
   distinct (model, spec, t) of the price_summary contracts and for the
   jump-heavy m = n = 3 market with the step contract at t = 1.  They pin
-  the boundary search's result itself, beside the prices built on it;
+  the boundary search's result itself, beside the prices built on it.
+  Each is solved alone, as a stack of one, whereas a quote solves its 14
+  abscissae as one stack; the hash was fixed when these lines still came
+  from the quotes' stacks, so an equal hash also pins that a solve alone
+  equals the stacked solve;
 - every cell of ``build_table(3)`` and ``build_table(4)``, the grid tables
   that the lines above leave out.
 
@@ -52,7 +56,6 @@ it differs.  A change that moves a bit updates that file and says why.
 from __future__ import annotations
 
 import hashlib
-import math
 import sys
 from dataclasses import replace
 
@@ -61,15 +64,8 @@ import numpy as np
 import hejdstep
 from hejdstep import (QUANTITIES, DownOutStepSpec, HejdModel, PathConfig, mc_euro_step_price, price_summary,
                       price_time_domain, verify_duality)
+from hejdstep.inversion import _abscissae
 from hejdstep.tables import build_table
-
-try:
-    from hejdstep.inversion import _abscissae
-except ImportError:
-    # tools/bench.py runs this file on a parent tree, which may predate
-    # inversion._abscissae; the abscissae as gs_invert rounded them there
-    def _abscissae(t, order):
-        return tuple(k * (math.log(2.0) / t) for k in range(1, 2 * order + 1))
 
 KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
                 up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
