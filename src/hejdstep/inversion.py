@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import OrderError
+from .errors import HejdStepError, OrderError
 from .model import DownOutStepSpec, HejdModel
 from .pricing import (
     _check_spot,
@@ -80,6 +80,7 @@ def _check_maturity(t: float) -> float:
     return t
 
 
+@lru_cache(maxsize=64)
 def _abscissae(t: float, order: int) -> tuple[float, ...]:
     """The 2*order abscissae k log2 / t, k = 1..2*order, rounded as gs_invert uses them."""
     step = math.log(2.0) / t
@@ -150,7 +151,7 @@ def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
     thetas = _abscissae(t, order)  # gs_invert's abscissae, solved in one stacked call
     try:
         solved = dict(zip(thetas, solve(model, spec, thetas)))
-    except Exception:  # gs_invert solves one by one and raises the first failure, annotated
+    except HejdStepError:  # an engine error: gs_invert solves one by one and names its abscissa
         solved = {}
     solution = lambda th: solved[th] if th in solved else solve(model, spec, th)
     raw = gs_invert(_transform(solution, x, quantities), t, order)

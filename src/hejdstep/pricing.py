@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Generator, Sequence
 
@@ -72,7 +71,6 @@ _BOUNDARY_GRIDS = (
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 8.9e-16
 _BRENT_MAXITER = 200
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,40 +384,38 @@ def _abscissa_cache(solve_stack: Callable) -> Callable:
     """Cache in front of solve_stack(model, spec, thetas), which solves a
     tuple of abscissae of one (model, spec) together.  The cached function
     takes one theta or a tuple of them and returns one solution or a tuple;
-    it keys by the whole stack (model, spec, thetas) and keeps nothing of a
-    solve that raises.  Above 4096 solutions the least recently used stacks
-    go.  cache_info() counts per abscissa, as lru_cache does; __wrapped__
-    solves without the cache."""
-    lock, stacks = threading.Lock(), OrderedDict()  # (model, spec, thetas) -> solutions
-    info = dict(hits=0, misses=0, maxsize=4096, currsize=0)
+    an lru_cache of 256 whole stacks (model, spec, thetas) keeps nothing of
+    a solve that raises.  cache_info() is lru_cache's, with hits and misses
+    counted per abscissa; __wrapped__ solves without the cache."""
+    lock, counts = threading.Lock(), {"looked_up": 0, "solved": 0}
+
+    @functools.lru_cache(maxsize=256)
+    def solve_cached(model, spec, thetas: tuple) -> tuple:
+        with lock:
+            counts["solved"] += len(thetas)
+        return tuple(solve_stack(model, spec, thetas))
 
     def lookup(model, spec, thetas: tuple) -> tuple:
-        key = (model, spec, thetas)
         with lock:
-            solved = stacks.get(key)
-            if solved is not None:
-                stacks.move_to_end(key)
-            info["misses" if solved is None else "hits"] += len(thetas)
-        if solved is None and thetas:  # an empty stack is (), unsolved
-            solved = tuple(solve_stack(model, spec, thetas))
-            with lock:  # pop: a racing thread may have stored the same stack
-                info["currsize"] += len(solved) - len(stacks.pop(key, ()))
-                stacks[key] = solved
-                while info["currsize"] > info["maxsize"]:
-                    info["currsize"] -= len(stacks.popitem(last=False)[1])
-        return solved or ()
+            counts["looked_up"] += len(thetas)
+        return solve_cached(model, spec, thetas) if thetas else ()  # an empty stack is (), unsolved
 
     def per_theta(run: Callable) -> Callable:  # one theta, or a tuple of them
         return lambda model, spec, theta: (
             tuple(run(model, spec, theta)) if isinstance(theta, tuple) else run(model, spec, (theta,))[0])
 
+    def cache_info():
+        with lock:
+            return solve_cached.cache_info()._replace(hits=counts["looked_up"] - counts["solved"],
+                                                      misses=counts["solved"])
+
     def cache_clear() -> None:
         with lock:
-            stacks.clear()
-            info.update(hits=0, misses=0, currsize=0)
+            solve_cached.cache_clear()
+            counts.update(looked_up=0, solved=0)
 
     solve = functools.update_wrapper(per_theta(lookup), solve_stack)
-    solve.cache_info, solve.cache_clear = lambda: _CacheInfo(**info), cache_clear
+    solve.cache_info, solve.cache_clear = cache_info, cache_clear
     solve.__wrapped__ = per_theta(solve_stack)
     return solve
 

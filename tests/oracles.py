@@ -3,7 +3,8 @@
 - ``oide_residual`` checks a randomized solution against its ordinary
   integro-differential equation: ``generator_apply`` applies the generator
   of the log-price by central differences and adaptive quadrature, so it
-  treats the solution as a black box.
+  treats the solution as a black box.  ``eep_split_residual`` checks the
+  premium's diffusion and jump parts against the same equation.
 - ``randomized_call`` prices the randomized vanilla call (a step call with
   knock rate 0) by Lewis's Fourier formula on the resolvent of the
   log-price, from ``levy_exponent`` alone: no roots, no linear system.
@@ -26,6 +27,7 @@ from hejdstep import (
     MrAmericanSolution,
     MrEuropeanSolution,
     eval_american_mr,
+    eval_eep_split_mr,
     eval_european_mr,
 )
 
@@ -199,6 +201,46 @@ def oide_residual(
         resid = theta * max(x - K, 0.0) + gen - rate * value(x)
         worst = max(worst, abs(resid))
     return worst / (theta * K)
+
+
+def eep_split_residual(
+    model: HejdModel,
+    spec: DownOutStepSpec,
+    theta: float,
+    sol: MrAmericanSolution,
+    x_grid: Sequence[float],
+) -> tuple[float, float]:
+    """Max normalized residuals (diffusion, jump) of the premium's two parts
+    against the homogeneous randomized equation on a grid below the boundary.
+
+    Below the boundary b each part is eval_eep_split_mr's.  Its exterior
+    comes from the split's definition, with the exercise gap
+    g(x) = x - K - euro(x): the diffusion part is g(b) at b and 0 above it,
+    the jump part 0 at b and g(x) above it.  The residual
+    gen V - (r + theta - knock_rate 1{x < L}) V is normalized by
+    theta * strike, and grid points keep a margin of 1e-4 * strike from L, K
+    and b.
+    """
+    theta, K, b = float(theta), spec.strike, sol.boundary
+    barrier = sol.european.barrier_eff
+    gap = lambda s: s - K - eval_european_mr(sol.european, s)
+    parts = (
+        lambda s: eval_eep_split_mr(sol, s)[1] if s < b else (gap(s) if s == b else 0.0),
+        lambda s: eval_eep_split_mr(sol, s)[2] if s < b else (0.0 if s == b else gap(s)),
+    )
+    pts = ([barrier] if barrier > 0.0 else []) + [K, b]
+    log_breaks = tuple(math.log(p) for p in pts)
+    worst = [0.0, 0.0]
+    for x in x_grid:
+        if not 0.0 < x < b or min(abs(x - p) for p in pts) < 1e-4 * K:
+            raise ValueError(f"grid point {x} outside (0, b) or too close to a branch point")
+        lx = math.log(x)
+        fd_step = min(_FD_STEP, 0.25 * min(abs(lx - p) for p in log_breaks))
+        rate = model.r + theta - (spec.knock_rate if x < barrier else 0.0)
+        for i, V in enumerate(parts):
+            gen = generator_apply(model, lambda l: V(math.exp(l)), lx, fd_step=fd_step, breakpoints=log_breaks)
+            worst[i] = max(worst[i], abs(gen - rate * V(x)))
+    return worst[0] / (theta * K), worst[1] / (theta * K)
 
 
 def randomized_call(model: HejdModel, strike: float, theta: float, x: float) -> tuple[float, float]:

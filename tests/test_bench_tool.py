@@ -1,4 +1,4 @@
-"""tools/bench.py's comparison rule on synthetic runs."""
+"""tools/bench.py's comparison rule on synthetic runs, and its line count."""
 
 from __future__ import annotations
 
@@ -39,3 +39,14 @@ def test_eight_wins_of_ten_claim_no_gain(bench):
     out = _compare(bench, [1.0 + 0.001 * i for i in range(10)], [0.5] * 8 + [2.0] * 2)
     assert (out["wins"], out["losses"], out["gain"]) == (8, 2, False)
     assert out["change"]["median"] == 0.5  # the medians alone would claim it
+
+
+def test_src_lines_counts_the_package_modules(bench, tmp_path):
+    for side, texts in {"parent": ["a\nb\n", "c\n"], "change": ["a\n", "no newline"]}.items():
+        package = tmp_path / side / "src" / "hejdstep"
+        package.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (package / f"m{i}.py").write_text(text)
+        (package / "notes.txt").write_text("not counted\n")
+    assert bench.src_lines(tmp_path / "parent") == 3
+    assert bench.src_lines(tmp_path / "change") == 1  # wc -l: a last line without a newline is not counted

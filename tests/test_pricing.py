@@ -33,7 +33,7 @@ from hejdstep import (
 from hejdstep import pricing
 from hejdstep.inversion import _abscissae
 from conftest import random_model, random_spec, stehfest_weights
-from oracles import oide_residual
+from oracles import eep_split_residual, oide_residual
 
 THETA = 1.3
 
@@ -315,6 +315,25 @@ class TestEquationResidual:
         grid = np.linspace(step_spec.barrier + 0.7, kou_amer.boundary - 0.7, 20)
         resid = oide_residual(kou_model, step_spec, THETA, kou_amer, grid)
         assert resid <= 1e-6
+
+    def test_premium_parts_solve_the_equation(self):
+        # the paper's premium split: the diffusion and jump parts each solve
+        # the homogeneous randomized equation below the boundary, on
+        # criterion 5's markets
+        rng = np.random.default_rng(2718)
+        worst = [0.0, 0.0]
+        for _ in range(10):
+            model, spec = random_model(rng), random_spec(rng)
+            theta = float(rng.uniform(0.5, 3.0))
+            sol = solve_american_mr(model, spec, theta)
+            K, L, margin = spec.strike, spec.barrier, 2e-3 * spec.strike
+            grid = np.concatenate([
+                np.linspace(0.75 * L, L - margin, 6),
+                np.linspace(L + margin, K - margin, 7),
+                np.linspace(K + margin, sol.boundary - margin, 7),
+            ])
+            worst = np.maximum(worst, eep_split_residual(model, spec, theta, sol, grid))
+        assert max(worst) <= 1e-6, worst
 
     def test_zero_function_far_from_strike(self, kou_model):
         # identically-zero candidate with an unreachable strike solves the
@@ -607,6 +626,7 @@ class TestBoundarySearchExits:
     @pytest.mark.parametrize("delta, r, theta, stacks, upper", [
         pytest.param(1e-4, 0.05, 1.0, [41, 12], 10.0, id="grid-5-10"),
         pytest.param(1e-5, 0.2, 0.05, [41, 12, 12], 20.0, id="grid-10-20"),
+        pytest.param(0.07, 0.05, 1e13, [41, 12, 12, 25], math.log1p(1e-6), id="grid-toward-strike"),
     ])
     def test_expanded_grids_find_far_boundaries(self, monkeypatch, kou_model, step_spec,
                                                  delta, r, theta, stacks, upper):
@@ -687,6 +707,24 @@ class TestStackedAbscissae:
         # abscissae 1-4, solved one by one before k = 5 failed, as alone
         assert solve_american_mr.cache_info().currsize == 4
 
+    def test_a_fault_outside_the_engine_is_not_retried(self, monkeypatch, kou_model, step_spec):
+        # only an engine error sends a quote's abscissae one by one through
+        # gs_invert; any other fault of the stacked solve propagates
+        stack = pricing._stack
+
+        def broken(sols):
+            if len(sols) >= 2:
+                raise TypeError("no stacks")
+            return stack(sols)
+
+        monkeypatch.setattr(pricing, "_stack", broken)
+        solve_european_mr.cache_clear()
+        solve_american_mr.cache_clear()
+        with pytest.raises(TypeError, match="no stacks"):
+            price_summary(kou_model, step_spec, 1.0, 100.0)
+        # the failed stack's 14 misses in each cache, and no one-abscissa retries
+        assert [solve.cache_info()[1:] for solve in (solve_european_mr, solve_american_mr)] == [(14, 256, 0)] * 2
+
     def test_cold_quote_counts_14_misses_per_cache(self, kou_model, step_spec):
         solve_european_mr.cache_clear()
         solve_american_mr.cache_clear()
@@ -709,23 +747,26 @@ class TestStackedAbscissae:
         assert solve("a", "s", 1.0) == ("a", 1.0) and solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0))
         assert solved == [(1.0,), (1.0, 2.0)]  # an overlapping stack is solved whole
         assert solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0)) and len(solved) == 2
-        assert solve.cache_info() == (2, 3, 4096, 3)  # hits and misses per abscissa
+        assert solve.cache_info() == (2, 3, 256, 2)  # hits and misses per abscissa, size in stacks
         with pytest.raises(ValueError):
             solve("b", "s", (3.0, math.nan))
-        assert solve.cache_info().currsize == 3  # nothing of a failed solve
+        assert solve.cache_info().currsize == 2  # nothing of a failed solve
         solve.cache_clear()
-        assert solve.cache_info() == (0, 0, 4096, 0)
+        assert solve.cache_info() == (0, 0, 256, 0)
         solve("a", "s", 1.0)
-        solve("c", "s", tuple(float(k) for k in range(4095)))
-        assert solve.cache_info().currsize == 4096
-        solve("a", "s", 1.0)  # the stack of "c" is now the least recently used
-        solve("d", "s", 1.0)  # 4097 solutions: the whole stack of "c" goes
-        assert solve.cache_info().currsize == 2
+        for k in range(255):
+            solve("c", "s", (float(k), -1.0))
+        assert solve.cache_info().currsize == 256
+        solve("a", "s", 1.0)  # the stack ("c", (0.0, -1.0)) is now the least recently used
+        solve("d", "s", 1.0)  # 257 stacks: that one goes
+        assert solve.cache_info().currsize == 256
         solved.clear()
         solve("a", "s", 1.0)
-        solve("c", "s", 0.0)
-        assert solved == [(0.0,)]
-        assert solve("a", "s", ()) == () and solved == [(0.0,)]  # an empty stack solves nothing
+        solve("c", "s", (1.0, -1.0))
+        assert solved == []
+        solve("c", "s", (0.0, -1.0))
+        assert solved == [(0.0, -1.0)]
+        assert solve("a", "s", ()) == () and solved == [(0.0, -1.0)]  # an empty stack solves nothing
 
     def test_cache_counts_hold_under_threads(self):
         # more threads than cores race lookups, inserts and evictions on
@@ -744,7 +785,7 @@ class TestStackedAbscissae:
 
         def client(i):
             # threads 2k and 2k + 1 ask for the same 25 stacks of 6, twice:
-            # 800 stacks, 4800 solutions, so the bound evicts
+            # 800 stacks, so the bound of 256 evicts
             for j in range(50):
                 thetas = (float(i // 2), float(j % 25), 2.0, 3.0, 4.0, 5.0)
                 assert solve(j % 5, "s", thetas)[1] == (j % 5, float(j % 25))
@@ -761,12 +802,12 @@ class TestStackedAbscissae:
         assert info.hits + info.misses == 64 * 50 * 6 and info.hits > 0
         # every miss solved its stack once, nothing counted twice
         assert info.misses == sum(len(thetas) for _, thetas in solved)
-        # currsize is the number of solutions the cache holds: probe each stack
+        # currsize is the number of stacks the cache holds: probe each one
         probing.append(True)
         held = 0
         for key, thetas in set(solved):
             try:
-                held += len(thetas) * (solve(key, "s", thetas) == tuple((key, th) for th in thetas))
+                held += solve(key, "s", thetas) == tuple((key, th) for th in thetas)
             except LookupError:
                 pass
-        assert 1000 < held == info.currsize <= 4096
+        assert held == info.currsize == info.maxsize == 256

@@ -7,8 +7,9 @@ makes one traced run (``--trace 1``) per side and workload, on the first
 seed, for the per-layer metrics.  It writes one JSON file with the machine
 (nproc, Python and numpy versions), every run's metrics, ``correct`` and
 ``failed``, each side's median and quartiles per metric, the pairwise wins,
-and the output fingerprint of each side (``tools/fingerprint.py`` of this
-checkout, run against that side's ``src``).  Run from the root of a checkout:
+the output fingerprint of each side (``tools/fingerprint.py`` of this
+checkout, run against that side's ``src``) and each side's line count of
+``src/hejdstep/*.py``.  Run from the root of a checkout:
 
     python3 tools/bench.py --parent ../parent --out BENCH_18.json --seeds 2-11
 
@@ -65,6 +66,11 @@ def fingerprint(side: Path) -> str:
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "fingerprint.py")], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip().splitlines()[-1].split()[-1]
+
+
+def src_lines(side: Path) -> int:
+    """Lines of the side's src/hejdstep/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "hejdstep").glob("*.py"))
 
 
 def revision(side: Path) -> str | None:
@@ -124,6 +130,7 @@ def main() -> int:
                      "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0"},
         "revision": {side: revision(path) for side, path in sides.items()},
         "fingerprint": {side: fingerprint(path) for side, path in sides.items()},
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "workloads": {
             w: {
                 "compare": compare(runs[w]["parent"], runs[w]["change"], spec),
