@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HejdStepError", "ConfigError", "PoleError",
+    "BracketError", "ConvergenceError", "SingularSystemError",
+    "NoBoundaryError", "AmbiguousBoundaryError", "OrderError", "BudgetError",
+]
+
 
 class HejdStepError(Exception):
     """Base class for all engine errors (maps to CLI exit code 3)."""

@@ -21,7 +21,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -144,19 +143,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_batches(run_batch: Callable[[int], None], n_batches: int) -> None:
-    """Call run_batch(b) once for every b in range(n_batches).
-
-    The batches run on a pool of workers = min(n_batches, usable CPUs)
-    threads, shut down before return; the exception of the first failing
-    batch in batch order is re-raised here.
-    """
-    workers = min(n_batches, _usable_cpus())
-    with ThreadPoolExecutor(workers, thread_name_prefix="hejdstep-mc") as pool:
-        for _ in pool.map(run_batch, range(n_batches)):
-            pass
-
-
 def _simulate_batch(
     model: HejdModel,
     x_barrier: float,
@@ -250,7 +236,11 @@ def simulate_terminal(
         s_out[lo:hi] = x * np.exp(X)
         occ_out[lo:hi] = occ
 
-    _run_batches(run_batch, -(-cfg.n_paths // cfg.batch_size))
+    n_batches = -(-cfg.n_paths // cfg.batch_size)
+    workers = min(n_batches, _usable_cpus())
+    with ThreadPoolExecutor(workers, thread_name_prefix="hejdstep-mc") as pool:
+        for _ in pool.map(run_batch, range(n_batches)):  # re-raises the first failing batch
+            pass
     return s_out, occ_out
 
 

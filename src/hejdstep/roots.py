@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BracketError, ConvergenceError
 from .model import HejdModel, _phi_prime_raw, _phi_raw
 
-__all__ = ["RootSet", "find_roots", "root_brackets"]
+__all__ = ["RootSet", "find_roots"]
 
 _MAX_ITER = 200
 _POLE_OFFSET_FRAC = 1e-9  # initial interior offset as a fraction of the bracket

@@ -16,36 +16,43 @@ from hejdstep import DownOutStepSpec, HejdModel
 
 REFERENCE = dict(r=0.05, delta=0.07, sigma=0.2, K=100.0, L=95.0, RHO=-26.34, T=1.0)
 
+# reference markets: double-exponential at lambda = 1 (the lambda-ladder grid),
+# three exponentials a side at lambda = 10, and pure diffusion (empty mixture)
+KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
+                up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
+HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
+                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
+                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
+BS = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0)
+# reference contracts: step call, standard call (no knock rate), near knock-out
+STEP = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-26.34)
+STANDARD = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=0.0)
+BARRIER = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-5.0e7)
+
 
 @pytest.fixture(scope="session")
 def kou_model() -> HejdModel:
-    """Double-exponential market of the lambda-ladder grid (lambda = 1)."""
-    return HejdModel(
-        r=0.05, delta=0.07, sigma=0.2, lam=1.0,
-        up_weights=(0.7,), up_rates=(25.0,),
-        down_weights=(0.3,), down_rates=(50.0,),
-    )
+    return KOU
 
 
 @pytest.fixture(scope="session")
 def bs_model() -> HejdModel:
-    """Pure-diffusion degenerate market (empty mixture)."""
-    return HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0)
+    return BS
 
 
 @pytest.fixture(scope="session")
 def step_spec() -> DownOutStepSpec:
-    return DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-26.34)
+    return STEP
 
 
 @pytest.fixture(scope="session")
 def standard_spec() -> DownOutStepSpec:
-    return DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=0.0)
+    return STANDARD
 
 
 @pytest.fixture(scope="session")
 def barrier_spec() -> DownOutStepSpec:
-    return DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-5.0e7)
+    return BARRIER
 
 
 def random_model(rng: np.random.Generator, max_terms: int = 3, min_delta: float = 0.02) -> HejdModel:

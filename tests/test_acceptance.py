@@ -27,12 +27,10 @@ from hejdstep import (
     solve_european_mr,
     verify_duality,
 )
-from conftest import exponential_pair_reference, random_model, random_spec, stehfest_weights
+from conftest import (
+    BARRIER, STANDARD, STEP, exponential_pair_reference, random_model, random_spec, stehfest_weights,
+)
 from oracles import oide_residual
-
-STEP = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-26.34)
-STANDARD = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=0.0)
-BARRIER = DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-5.0e7)
 
 
 def ladder_model(lam: float) -> HejdModel:

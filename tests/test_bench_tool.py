@@ -1,8 +1,11 @@
-"""tools/bench.py's comparison rule on synthetic runs, and its line count."""
+"""tools/bench.py's comparison rule on synthetic runs, its line count, and its
+default workloads."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,17 @@ def test_src_lines_counts_the_package_modules(bench, tmp_path):
         (package / "notes.txt").write_text("not counted\n")
     assert bench.src_lines(tmp_path / "parent") == 3
     assert bench.src_lines(tmp_path / "change") == 1  # wc -l: a last line without a newline is not counted
+
+
+def test_default_workloads_come_from_benchmark_json(bench, monkeypatch, tmp_path):
+    # without --workloads the tool runs every workload BENCHMARK.json names, in its order
+    metrics = {"op_s_p50": 1.0, "op_s_tail": 1.0, "ops_per_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0}
+    monkeypatch.setattr(bench, "run", lambda side, workload, seed, seconds, trace: {
+        "seed": seed, "correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+    monkeypatch.setattr(bench, "fingerprint", lambda side: "0" * 64)
+    monkeypatch.setattr(bench, "src_lines", lambda side: 0)
+    monkeypatch.setattr(bench, "revision", lambda side: None)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--parent", str(tmp_path), "--out", str(out), "--seeds", "1"])
+    assert bench.main() == 0
+    assert list(json.loads(out.read_text())["workloads"]) == ["quote_book", "risk_grid", "mc_oracle"]

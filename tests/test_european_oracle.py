@@ -19,15 +19,10 @@ import numpy as np
 import pytest
 
 from hejdstep import DownOutStepSpec, HejdModel, eval_european_mr, solve_european_mr
+from conftest import BS, HEAVY, KOU
 
 EPS = sys.float_info.epsilon
 
-KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0,
-                up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
-HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
-                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
-                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
-BS = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=0.0)
 KOU_LOW_VOL = HejdModel(r=0.05, delta=0.07, sigma=0.02, lam=1.0,
                         up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
 

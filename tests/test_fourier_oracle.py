@@ -25,7 +25,7 @@ from hejdstep import (
     pricing,
     solve_european_mr,
 )
-from conftest import random_model, stehfest_weights
+from conftest import HEAVY, random_model, stehfest_weights
 from oracles import randomized_call
 
 EPS = sys.float_info.epsilon
@@ -36,9 +36,6 @@ MARKETS = [pytest.param(random_model(_rng), id=f"random-{i}") for i in range(3)]
     pytest.param(HejdModel(r=0.05, delta=0.07, sigma=s, lam=0.0), id=f"lambda-0-sigma-{s:g}")
     for s in (0.005, 0.02, 0.2)
 ]
-HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
-                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
-                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
 THETAS = (0.05, 0.69, 9.7)
 SPOTS = (80.0, 100.0, 130.0)
 

@@ -19,7 +19,7 @@ from hejdstep import (
     price_time_domain,
 )
 from hejdstep import inversion
-from conftest import exponential_pair_reference
+from conftest import HEAVY, KOU, STEP, exponential_pair_reference
 
 
 class TestWeights:
@@ -190,11 +190,6 @@ class TestTimeDomain:
         assert s["dc_pct"] == pytest.approx(100.0 * s["eep_diffusion"] / s["eep"], rel=1e-12)
 
 
-HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
-                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
-                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
-
-
 class TestOnePass:
     """price_summary inverts all five quantities in one pass; each must equal
     its own single-quantity inversion bit for bit."""
@@ -253,9 +248,6 @@ class TestOnePass:
         assert (info.misses, info.hits) == (1, 3)  # _prices computes them, gs_invert and the second price reuse them
 
 
-KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),
-                down_weights=(0.3,), down_rates=(50.0,))
-STEP = DownOutStepSpec(100.0, 95.0, -26.34)
 SILENT_FAULTS = [
     pytest.param(
         KOU, STEP, 300.0, 100.0,

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hejdstep
 
@@ -44,3 +47,40 @@ def test_benchmark_tracing_names_resolve(monkeypatch):
             assert callable(getattr(module, attr, None)), (name, module.__name__, attr)
     for solve in (hejdstep.solve_european_mr, hejdstep.solve_american_mr):
         assert callable(solve.cache_info) and callable(solve.cache_clear)
+
+
+MODULES = ["model", "roots", "pricing", "inversion", "montecarlo", "errors"]
+PUBLIC = [
+    "__version__",
+    "HejdModel", "DownOutStepSpec", "laplace_exponent", "dual_model",
+    "RootSet", "find_roots",
+    "MrEuropeanSolution", "MrAmericanSolution",
+    "solve_european_mr", "eval_european_mr", "solve_american_mr",
+    "eval_eep_mr", "eval_eep_split_mr", "eval_american_mr",
+    "gs_weights", "gs_invert", "price_time_domain", "price_summary",
+    "QUANTITIES", "DEFAULT_GS_ORDER",
+    "PathConfig", "McEstimate", "DualityReport",
+    "simulate_terminal", "mc_euro_step_price", "verify_duality",
+    "HejdStepError", "ConfigError", "PoleError",
+    "BracketError", "ConvergenceError", "SingularSystemError",
+    "NoBoundaryError", "AmbiguousBoundaryError", "OrderError", "BudgetError",
+]
+
+
+def test_package_all_is_the_modules_all():
+    # each public name is declared once, in its module's __all__; the package
+    # republishes them in module order, and a name added or dropped fails here
+    modules = [importlib.import_module(f"hejdstep.{name}") for name in MODULES]
+    assert len(set(hejdstep.__all__)) == len(hejdstep.__all__)
+    assert hejdstep.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert hejdstep.__all__ == PUBLIC
+    for name in hejdstep.__all__:
+        getattr(hejdstep, name)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_binds_the_module_all(module):
+    namespace = {}
+    exec(f"from hejdstep.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(importlib.import_module(f"hejdstep.{module}").__all__)

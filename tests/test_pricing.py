@@ -32,7 +32,7 @@ from hejdstep import (
 )
 from hejdstep import pricing
 from hejdstep.inversion import _abscissae
-from conftest import random_model, random_spec, stehfest_weights
+from conftest import HEAVY, KOU, random_model, random_spec, stehfest_weights
 from oracles import eep_split_residual, oide_residual
 
 THETA = 1.3
@@ -422,9 +422,6 @@ class TestLowVolatility:
         assert abs(est.value - engine) <= 3.0 * est.std_error, (est.value, est.std_error, engine)
 
 
-HEAVY = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=10.0,
-                  up_weights=(0.2, 0.15, 0.1), up_rates=(10.0, 25.0, 50.0),
-                  down_weights=(0.25, 0.2, 0.1), down_rates=(8.0, 20.0, 45.0))
 SCAN_GRID = np.geomspace(math.log1p(1e-6), 5.0, 41)
 SCAN_CASES = [
     pytest.param("kou", DownOutStepSpec(100.0, 95.0, -26.34), id="kou-step"),
@@ -641,8 +638,6 @@ class TestBoundarySearchExits:
         assert sizes[: len(stacks)] == stacks and set(sizes[len(stacks):]) == {1}
 
 
-KOU = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),
-                down_weights=(0.3,), down_rates=(50.0,))
 STACK_CASES = [
     pytest.param(KOU, DownOutStepSpec(100.0, 95.0, 0.0), id="kou-standard"),
     pytest.param(KOU, DownOutStepSpec(100.0, 95.0, -26.34), id="kou-step"),

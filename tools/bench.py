@@ -106,14 +106,15 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
 
 
 def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     ap.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"), help="one seed per pair, e.g. 2-11")
-    ap.add_argument("--workloads", nargs="+", default=["quote_book", "risk_grid", "mc_oracle"])
+    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]],
+                    help="default: every workload in BENCHMARK.json")
     ap.add_argument("--seconds", type=int, help="run length (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args()
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {w: {"parent": [], "change": []} for w in args.workloads}
