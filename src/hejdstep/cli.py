@@ -103,8 +103,8 @@ def _cmd_greeks(args: argparse.Namespace, model: HejdModel, spec: DownOutStepSpe
         raise ConfigError("need x_lo < x_hi")
     if not args.x_lo > 0.0:
         raise ConfigError(f"need a positive x_lo, got {args.x_lo!r}")
-    if not 0.0 < args.bump < math.inf:
-        raise ConfigError(f"need a finite positive bump, got {args.bump!r}")
+    if not 0.0 < args.bump < 1.0:
+        raise ConfigError(f"need a relative bump in (0, 1), got {args.bump!r}")
     if args.n < 3:
         raise ConfigError("need at least 3 grid points")
 
@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-hi", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--quantity", choices=QUANTITIES, default="euro")
-    p.add_argument("--bump", type=float, default=1e-3, help="relative spot bump")
+    p.add_argument("--bump", type=float, default=1e-3, help="relative spot bump, in (0, 1)")
     p.add_argument("--diff-against", default=None, help="subtract this config's surface")
     add_common(p, with_format=False)
     p.set_defaults(func=_cmd_greeks)

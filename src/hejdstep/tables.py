@@ -9,71 +9,34 @@ the practical knock-out limit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .inversion import DEFAULT_GS_ORDER, price_summary
 from .model import DownOutStepSpec, HejdModel
 
-__all__ = [
-    "TABLE_IDS",
-    "RHO_STANDARD",
-    "RHO_STEP",
-    "RHO_BARRIER",
-    "BASE_PARAMS",
-    "table_model",
-    "table_spec",
-    "build_table",
-]
+__all__ = ["TABLE_IDS", "build_table"]
 
-TABLE_IDS = (1, 2, 3, 4)
-RHO_STANDARD = 0.0
-RHO_STEP = -26.34
-RHO_BARRIER = -5.0e7
+# each table's jump mixture (p, xi, q, eta), every weight as printed
+_MIXTURES = {
+    1: (0.7, 25.0, 0.3, 50.0),
+    2: (0.5, 50.0, 0.5, 25.0),
+    3: (0.5, 50.0, 0.5, 50.0),
+    4: (0.5, 25.0, 0.5, 25.0),
+}
+TABLE_IDS = tuple(_MIXTURES)
 
-BASE_PARAMS = dict(r=0.05, delta=0.07, sigma=0.2, strike=100.0, barrier=95.0, horizon=1.0)
-
-# table 1: Kou mixture p=0.7, xi=25, eta=50, S0=100, lambda ladder
-_TABLE1_LAMBDAS = (1.0, 0.1, 0.01, 0.001, 0.0001)
-_TABLE1_MIX = dict(up_weights=(0.7,), up_rates=(25.0,), down_weights=(0.3,), down_rates=(50.0,))
-
-# tables 2-4: p=q=0.5, spot ladder, two intensity blocks.
+# table 1: S0=100, lambda ladder
+_LAMBDAS = (1.0, 0.1, 0.01, 0.001, 0.0001)
+# tables 2-4: spot ladder, two intensity blocks (block, lambda).
 # Table 4 prints lambda = 5.0 for BOTH blocks; the sibling grids use 10.0 for
 # block (2) and the printed block-(2) values are consistent with 10.0, but the
 # row is encoded exactly as printed rather than normalized.
 _SPOTS = (90.0, 95.0, 100.0, 105.0, 110.0, 115.0)
-_GRIDS = {
-    2: dict(xi=50.0, eta=25.0, blocks=((1, 5.0), (2, 10.0))),
-    3: dict(xi=50.0, eta=50.0, blocks=((1, 5.0), (2, 10.0))),
-    4: dict(xi=25.0, eta=25.0, blocks=((1, 5.0), (2, 5.0))),
-}
+_BLOCKS = {2: ((1.0, 5.0), (2.0, 10.0)), 3: ((1.0, 5.0), (2.0, 10.0)), 4: ((1.0, 5.0), (2.0, 5.0))}
+_CONTRACTS = tuple(DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=rho) for rho in (0.0, -26.34, -5.0e7))
 
 
-def table_model(table_id: int, lam: float) -> HejdModel:
-    if table_id == 1:
-        mix = _TABLE1_MIX
-    elif table_id in _GRIDS:
-        g = _GRIDS[table_id]
-        mix = dict(
-            up_weights=(0.5,), up_rates=(g["xi"],),
-            down_weights=(0.5,), down_rates=(g["eta"],),
-        )
-    else:
-        raise ValueError(f"unknown table id {table_id}; expected one of {TABLE_IDS}")
-    return HejdModel(
-        r=BASE_PARAMS["r"], delta=BASE_PARAMS["delta"], sigma=BASE_PARAMS["sigma"],
-        lam=lam, **mix,
-    )
-
-
-def table_spec(knock_rate: float) -> DownOutStepSpec:
-    return DownOutStepSpec(
-        strike=BASE_PARAMS["strike"], barrier=BASE_PARAMS["barrier"], knock_rate=knock_rate
-    )
-
-
-@dataclass(frozen=True)
-class TableResult:
-    table_id: int
+class TableResult(NamedTuple):
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
 
@@ -89,22 +52,24 @@ def build_table(table_id: int, order: int = DEFAULT_GS_ORDER) -> TableResult:
     """
     if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id}; expected one of {TABLE_IDS}")
-    # each grid point: (leading values, model, spot)
+    p, xi, q, eta = _MIXTURES[table_id]
+    # each grid point: (leading values, lambda, spot)
     if table_id == 1:
         lead, columns = ("lambda",), ("euro", "amer", "dc_pct")
-        grid = [((lam,), table_model(1, lam), 100.0) for lam in _TABLE1_LAMBDAS]
+        grid = [((lam,), lam, 100.0) for lam in _LAMBDAS]
     else:
         lead, columns = ("block", "lambda", "spot"), ("euro", "eep", "eep_pct", "dc_pct")
-        grid = [((float(block), lam, x), table_model(table_id, lam), x)
-                for block, lam in _GRIDS[table_id]["blocks"] for x in _SPOTS]
-    header = lead + tuple(f"{c}_{q}" for c in ("standard", "step", "barrier") for q in columns)
+        grid = [((block, lam, x), lam, x) for block, lam in _BLOCKS[table_id] for x in _SPOTS]
+    header = lead + tuple(f"{c}_{col}" for c in ("standard", "step", "barrier") for col in columns)
     rows = []
-    for values, model, x in grid:
+    for values, lam, x in grid:
+        model = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=lam,
+                          up_weights=(p,), up_rates=(xi,), down_weights=(q,), down_rates=(eta,))
         row = list(values)
-        for rho in (RHO_STANDARD, RHO_STEP, RHO_BARRIER):
-            s = price_summary(model, table_spec(rho), BASE_PARAMS["horizon"], x, order)
+        for spec in _CONTRACTS:
+            s = price_summary(model, spec, 1.0, x, order)
             if "eep" in columns and s["euro"] < 5e-4 and s["eep"] < 5e-4:  # knocked-out rows print 0 / --
                 s["eep_pct"] = s["dc_pct"] = math.nan
-            row += [s[q] for q in columns]
+            row += [s[col] for col in columns]
         rows.append(tuple(row))
-    return TableResult(table_id, header, tuple(rows))
+    return TableResult(header, tuple(rows))

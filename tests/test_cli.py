@@ -185,7 +185,7 @@ class TestErrors:
         assert code == 2
         assert captured.err == f"error: {tiny}: sigma**2 underflows to zero at sigma = 1e-200\n"
 
-    @pytest.mark.parametrize("bump", ["0", "-1e-3", "inf", "nan"])
+    @pytest.mark.parametrize("bump", ["0", "-1e-3", "inf", "nan", "1", "1.5"])
     def test_bump_must_be_finite_and_positive(self, capsys, config_path, bump):
         code = main(["greeks", config_path, "--t", "1", "--x-lo", "98", "--x-hi", "102",
                      "--n", "3", f"--bump={bump}"])
