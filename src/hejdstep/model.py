@@ -160,6 +160,8 @@ class DownOutStepSpec:
             map(math.isfinite, (self.strike, self.barrier, self.knock_rate, self.seasoning))
         ):
             raise ValueError("contract parameters must be finite")
+        if not self.strike > 0.0:
+            raise ValueError(f"strike must be strictly positive, got {self.strike!r}")
         if not 0.0 <= self.barrier <= self.strike:
             raise ValueError("need 0 <= barrier <= strike < inf")
         if self.knock_rate > 0.0:

@@ -98,44 +98,6 @@ def _draw_jumps(model: HejdModel, rng: np.random.Generator, n: int, horizon: flo
     return times, sizes, np.repeat(np.arange(n, dtype=np.int64), counts)
 
 
-def _advance_jump_paths(
-    X: np.ndarray,
-    occ: np.ndarray,
-    jp: np.ndarray,
-    path_slice: np.ndarray,
-    times_slice: np.ndarray,
-    sizes_slice: np.ndarray,
-    t0: float,
-    t1: float,
-    drift: float,
-    sigma: float,
-    x_barrier: float,
-    rng: np.random.Generator,
-) -> None:
-    """Exact sub-stepping of the paths that jump inside (t0, t1]."""
-    pos = np.searchsorted(jp, path_slice)
-    cur_t = np.full(len(jp), t0)
-    # rank of each jump within its (path, step) group
-    first_idx = np.searchsorted(path_slice, jp)
-    rank = np.arange(len(path_slice)) - first_idx[pos]
-    max_rank = int(rank.max()) if len(rank) else -1
-    for rnk in range(max_rank + 1):
-        sel = rank == rnk
-        p_sel = pos[sel]
-        dt_sub = times_slice[sel] - cur_t[p_sel]
-        z = rng.standard_normal(int(sel.sum()))
-        paths = jp[p_sel]
-        left = X[paths]
-        occ[paths] += dt_sub * (left < x_barrier)
-        X[paths] = left + drift * dt_sub + sigma * np.sqrt(dt_sub) * z + sizes_slice[sel]
-        cur_t[p_sel] = times_slice[sel]
-    dt_fin = t1 - cur_t
-    z = rng.standard_normal(len(jp))
-    left = X[jp]
-    occ[jp] += dt_fin * (left < x_barrier)
-    X[jp] = left + drift * dt_fin + sigma * np.sqrt(dt_fin) * z
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -173,10 +135,13 @@ def _simulate_batch(
             # the lexsort orders each step's jumps by path, so the distinct
             # jumping paths are where the path index changes
             seg = jpaths[lo:hi]
-            jp = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
-            x_old = X[jp]
-            occ_old = occ[jp]
-        # flat update of every path; jump paths are rolled back below
+            first = np.concatenate(([True], seg[1:] != seg[:-1]))
+            jp = seg[first]
+            pos = np.cumsum(first) - 1  # each jump's index into jp
+            rank = np.arange(hi - lo) - np.flatnonzero(first)[pos]  # its order within its path
+            xj = X[jp]
+            occj = occ[jp]
+        # flat update of every path; the jumping paths are overwritten below
         rng.standard_normal(out=zbuf)
         np.less(X, x_barrier, out=below)
         np.add(occ, h, out=occ, where=below)
@@ -186,12 +151,23 @@ def _simulate_batch(
         zbuf += drift * h
         X += zbuf
         if hi > lo:
-            X[jp] = x_old
-            occ[jp] = occ_old
-            _advance_jump_paths(
-                X, occ, jp, jpaths[lo:hi], jt[lo:hi], js[lo:hi],
-                t0, t1, drift, sigma, x_barrier, rng,
-            )
+            # exact sub-steps of the jumping paths from their values at t0:
+            # each rank's jumps, one per path, then the rest of the step
+            times, sizes = jt[lo:hi], js[lo:hi]
+            cur_t = np.full(len(jp), t0)
+            for rnk in range(int(rank.max()) + 1):
+                sel = rank == rnk
+                p_sel = pos[sel]
+                dt_sub = times[sel] - cur_t[p_sel]
+                z = rng.standard_normal(len(p_sel))
+                left = xj[p_sel]
+                occj[p_sel] += dt_sub * (left < x_barrier)
+                xj[p_sel] = left + drift * dt_sub + sigma * np.sqrt(dt_sub) * z + sizes[sel]
+                cur_t[p_sel] = times[sel]
+            dt_fin = t1 - cur_t
+            z = rng.standard_normal(len(jp))
+            X[jp] = xj + drift * dt_fin + sigma * np.sqrt(dt_fin) * z
+            occ[jp] = occj + dt_fin * (xj < x_barrier)
 
     np.clip(occ, 0.0, horizon, out=occ)
     return X, occ
@@ -223,7 +199,7 @@ def simulate_terminal(
         )
     if not barrier >= 0.0:
         raise ValueError(f"barrier must be non-negative, got {barrier!r}")
-    x_barrier = -math.inf if barrier == 0.0 else (math.inf if math.isinf(barrier) else math.log(barrier / x))
+    x_barrier = -math.inf if barrier == 0.0 else math.log(barrier / x)
 
     s_out = np.empty(cfg.n_paths)
     occ_out = np.empty(cfg.n_paths)

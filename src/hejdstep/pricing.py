@@ -436,8 +436,8 @@ def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, thetas: tuple) ->
     frames = []
     for theta in thetas:
         theta = float(theta)
-        if not theta > 0.0:
-            raise ValueError("theta must be strictly positive")
+        if not 0.0 < theta < math.inf:
+            raise ValueError(f"theta must be strictly positive and finite, got {theta!r}")
         roots_mid = find_roots(model, r + theta)
         roots_low = None
         if ell is not None:

@@ -182,10 +182,10 @@ def root_brackets(model: HejdModel) -> list[tuple[float, float]]:
 
 
 def find_roots(model: HejdModel, alpha: float) -> RootSet:
-    """All m+n+2 real roots of Phi(theta) = alpha for alpha > 0."""
+    """All m+n+2 real roots of Phi(theta) = alpha for 0 < alpha < inf."""
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be strictly positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be strictly positive and finite, got {alpha!r}")
 
     found = [_root(model, alpha, lo, hi) for lo, hi in root_brackets(model)]
     resid = max(

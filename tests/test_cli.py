@@ -163,11 +163,12 @@ class TestErrors:
         (["price", "--t", "nan", "--x", "100"], "t must be finite and strictly positive, got nan"),
         (["price", "--t", "1", "--x", "100", "--gs-order", "11"], "order must lie in [1, 10], got 11"),
         (["price", "--t", "1", "--x", "100", "--gs-order", "0"], "order must lie in [1, 10], got 0"),
-        (["roots", "--alpha", "-1"], "alpha must be strictly positive"),
+        (["roots", "--alpha", "-1"], "alpha must be strictly positive and finite, got -1.0"),
         # at x = 0 the price is zero, but only once every input is checked
         (["price", "--t", "-1", "--x", "0", "--quantity", "all"], "t must be finite and strictly positive, got -1.0"),
         (["price", "--t", "nan", "--x", "0"], "t must be finite and strictly positive, got nan"),
         (["price", "--t", "1", "--x", "0", "--gs-order", "11"], "order must lie in [1, 10], got 11"),
+        (["roots", "--alpha", "inf"], "alpha must be strictly positive and finite, got inf"),
     ])
     def test_invalid_argument_exit_2(self, capsys, config_path, argv, message):
         # an invalid value on the command line is an input error, not a numerical one
@@ -175,6 +176,12 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_overflowing_abscissae_exit_2(self, capsys, config_path):
+        # at t = 1e-320 the abscissae k ln 2 / t overflow to inf: an input error
+        code = main(["price", config_path, "--t", "1e-320", "--x", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: theta must be strictly positive and finite, got inf\n"
 
     @pytest.mark.parametrize("argv", [["roots", "--alpha", "1"], ["price", "--t", "1", "--x", "100"]])
     def test_underflowing_sigma_exit_2(self, capsys, tmp_path, argv):
@@ -284,6 +291,7 @@ class TestConfigFile:
         (("sigma = 0.2", "sigma = 0.2 0.3"), "<config>: key 'sigma' must hold a single value"),
         (("sigma = 0.2", "sigma = 0"), "<config>: sigma must be strictly positive"),
         (("L = 95", "L = 110"), "<config>: need 0 <= barrier <= strike < inf"),
+        (("K = 100\nL = 95", "K = 0"), "<config>: strike must be strictly positive, got 0.0"),
     ])
     def test_faults_raise_config_error(self, edit, message):
         with pytest.raises(ConfigError) as info:

@@ -79,6 +79,8 @@ class TestModelValidation:
             DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=-math.inf)
         with pytest.raises(ValueError):
             DownOutStepSpec(strike=100.0, barrier=110.0)  # barrier above strike
+        with pytest.raises(ValueError, match="strike must be strictly positive, got 0.0"):
+            DownOutStepSpec(strike=0.0, barrier=0.0)
         with pytest.raises(ValueError):
             DownOutStepSpec(strike=100.0, barrier=95.0, knock_rate=1.0)  # knock-in
         with pytest.raises(ValueError):

@@ -22,6 +22,8 @@ from hejdstep import (
 )
 from hejdstep import montecarlo
 
+from conftest import HEAVY
+
 
 class TestPathConfig:
     def test_validation(self):
@@ -94,6 +96,53 @@ class TestTerminalLaw:
         cfg = PathConfig(n_paths=10_000, dt=1e-3, seed=15)
         _, occ = simulate_terminal(kou_model, 100.0, math.inf, 0.1, cfg)
         assert np.all(occ == 0.1)
+
+
+class _ZeroNormals:
+    """A generator whose normal draws are zero; every other draw comes from rng."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out.fill(0.0)
+        return out
+
+
+class TestStepLoop:
+    def test_matches_a_per_path_event_walk(self):
+        # with zero normal draws a path is its drift plus its jumps, so the
+        # step loop's exact sub-steps must agree with a plain walk over the
+        # merged grid of dt multiples and that path's jump epochs: occupation
+        # is added at the left end of each interval, each jump at its epoch
+        nb, dt, horizon, seed = 256, 1e-3, 0.25, 3
+        x_barrier = math.log(95.0 / 100.0)
+        n_steps = int(math.ceil(horizon / dt - 1e-12))
+        X, occ = montecarlo._simulate_batch(HEAVY, x_barrier, horizon, dt, n_steps, nb,
+                                            _ZeroNormals(np.random.default_rng(seed)))
+        times, sizes, paths = montecarlo._draw_jumps(HEAVY, np.random.default_rng(seed), nb, horizon)
+        grid = [min(k * dt, horizon) for k in range(1, n_steps + 1)]
+        want_x, want_occ = np.zeros(nb), np.zeros(nb)
+        for p in range(nb):
+            jumps = dict(zip(times[paths == p], sizes[paths == p]))
+            x = o = t = 0.0
+            for epoch in sorted({*grid, *jumps}):
+                if x < x_barrier:
+                    o += epoch - t
+                x += HEAVY.drift * (epoch - t) + jumps.get(epoch, 0.0)
+                t = epoch
+            want_x[p], want_occ[p] = x, o
+        np.testing.assert_allclose(X, want_x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(occ, want_occ, rtol=0.0, atol=1e-12)
+        # the walk covers sub-steps of rank 1: some path jumps twice within one step
+        steps = list(zip(paths, (times / dt).astype(np.int64)))
+        assert len(set(steps)) < len(steps)
+        assert 0.0 < occ.max() and occ.min() < horizon
 
 
 class TestDeterminism:

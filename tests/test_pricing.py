@@ -103,7 +103,7 @@ class TestEuropeanSystem:
     def test_zero_at_origin(self, kou_euro):
         assert eval_european_mr(kou_euro, 0.0) == 0.0
 
-    @pytest.mark.parametrize("theta", [0.0, -0.5])
+    @pytest.mark.parametrize("theta", [0.0, -0.5, math.inf])
     def test_theta_must_be_positive(self, kou_model, step_spec, theta):
         with pytest.raises(ValueError, match="theta must be strictly positive"):
             solve_european_mr(kou_model, step_spec, theta)
