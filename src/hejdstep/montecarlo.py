@@ -3,12 +3,13 @@
 Paths are exact in law: jump counts are Poisson, jump epochs are order
 statistics of uniforms (the same law as an exponential clock), jump marks are
 drawn from the exponential mixture, and Brownian increments are sampled
-exactly on the merged grid of jump epochs and dt multiples.  The occupation
-time below the barrier is accumulated with the left-endpoint rule on that
-merged grid.  Randomness comes from counter-based Philox streams keyed by
-(seed, stream, batch), so results are bit-reproducible for a fixed
-configuration regardless of batch scheduling.  Each path is one plain
-sample (no variance reduction), and one run takes at most 4e9 path steps.
+exactly on the merged grid of jump epochs and dt multiples.  The dt grid is
+one array per run, ending at the horizon, and each step and each jump's step
+come from it.  Occupation time below the barrier is accumulated with the
+left-endpoint rule on the merged grid.  Randomness comes from counter-based
+Philox streams keyed by (seed, stream, batch), so results are bit-reproducible
+for a fixed configuration regardless of batch scheduling.  Each path is one
+plain sample (no variance reduction); one run takes at most 4e9 path steps.
 
 Batches run on a thread pool of workers = min(batches, CPUs in the
 process's affinity mask, else os.cpu_count()) threads.  numpy releases the
@@ -54,11 +55,15 @@ class PathConfig:
     batch_size: int = 1 << 17
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 10_000:
             raise ValueError("n_paths must be at least 10_000")
         if not 0.0 < self.dt <= 1e-3:
             raise ValueError("dt must lie in (0, 1e-3] years")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
@@ -106,29 +111,26 @@ def _usable_cpus() -> int:
 
 
 def _simulate_batch(
-    model: HejdModel,
-    x_barrier: float,
-    horizon: float,
-    dt: float,
-    n_steps: int,
-    nb: int,
-    rng: np.random.Generator,
+    model: HejdModel, x_barrier: float, grid: np.ndarray, nb: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-price increments X and occupation times of one batch of nb paths."""
+    """Log-price increments X and occupation times of one batch of nb paths
+    on the step grid 0 = grid[0] < ... < grid[-1] = horizon."""
     drift, sigma = model.drift, model.sigma
+    edges = grid.tolist()
+    horizon = edges[-1]
+    n_steps = len(edges) - 1
     X = np.zeros(nb)
     occ = np.zeros(nb)
     jt, js, jpaths = _draw_jumps(model, rng, nb, horizon)
-    jstep = np.minimum((jt / dt).astype(np.int64), n_steps - 1)
+    # each jump is sub-stepped in the step whose edges enclose it
+    jstep = np.minimum(np.searchsorted(grid, jt, side="right") - 1, n_steps - 1)
     order = np.lexsort((jt, jpaths, jstep))
     jt, js, jpaths, jstep = jt[order], js[order], jpaths[order], jstep[order]
     step_bounds = np.searchsorted(jstep, np.arange(n_steps + 1))
 
     below = np.empty(nb, dtype=bool)
     zbuf = np.empty(nb)
-    for k in range(n_steps):
-        t0 = k * dt
-        t1 = min((k + 1) * dt, horizon)
+    for k, (t0, t1) in enumerate(zip(edges, edges[1:])):
         h = t1 - t0
         lo, hi = step_bounds[k], step_bounds[k + 1]
         if hi > lo:
@@ -200,6 +202,8 @@ def simulate_terminal(
     if not barrier >= 0.0:
         raise ValueError(f"barrier must be non-negative, got {barrier!r}")
     x_barrier = -math.inf if barrier == 0.0 else math.log(barrier / x)
+    grid = np.minimum(np.arange(n_steps + 1) * cfg.dt, horizon)
+    grid[-1] = horizon  # n_steps * dt may fall short of it by the ceil's 1e-12 slack
 
     s_out = np.empty(cfg.n_paths)
     occ_out = np.empty(cfg.n_paths)
@@ -207,8 +211,7 @@ def simulate_terminal(
     def run_batch(b: int) -> None:
         lo = b * cfg.batch_size
         hi = min(lo + cfg.batch_size, cfg.n_paths)
-        X, occ = _simulate_batch(model, x_barrier, horizon, cfg.dt, n_steps, hi - lo,
-                                 _rng(cfg.seed, stream, b))
+        X, occ = _simulate_batch(model, x_barrier, grid, hi - lo, _rng(cfg.seed, stream, b))
         s_out[lo:hi] = x * np.exp(X)
         occ_out[lo:hi] = occ
 

@@ -33,8 +33,12 @@ class TestPathConfig:
             PathConfig(n_paths=10_000, dt=2e-3)
         with pytest.raises(ValueError, match="batch_size must be at least 2"):
             PathConfig(n_paths=10_000, batch_size=1)
+        with pytest.raises(ValueError, match="n_paths must be an integer, got 10000.5"):
+            PathConfig(n_paths=10000.5)
+        with pytest.raises(ValueError, match="batch_size must be an integer, got 4096.0"):
+            PathConfig(n_paths=10_000, batch_size=4096.0)
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
     def test_seed_must_be_a_non_negative_int(self, seed):
         with pytest.raises(ValueError, match="seed"):
             PathConfig(n_paths=10_000, seed=seed)
@@ -115,34 +119,44 @@ class _ZeroNormals:
 
 
 class TestStepLoop:
-    def test_matches_a_per_path_event_walk(self):
+    def test_matches_a_per_path_event_walk(self, monkeypatch):
         # with zero normal draws a path is its drift plus its jumps, so the
         # step loop's exact sub-steps must agree with a plain walk over the
         # merged grid of dt multiples and that path's jump epochs: occupation
-        # is added at the left end of each interval, each jump at its epoch
+        # is added at the left end of each interval, each jump at its epoch.
+        # The second input puts one jump an ulp below each dt multiple k * dt
+        # whose quotient by dt still truncates to k, on its own path: a step
+        # rule of int(t / dt) would sub-step it from after its epoch
         nb, dt, horizon, seed = 256, 1e-3, 0.25, 3
         x_barrier = math.log(95.0 / 100.0)
         n_steps = int(math.ceil(horizon / dt - 1e-12))
-        X, occ = montecarlo._simulate_batch(HEAVY, x_barrier, horizon, dt, n_steps, nb,
-                                            _ZeroNormals(np.random.default_rng(seed)))
-        times, sizes, paths = montecarlo._draw_jumps(HEAVY, np.random.default_rng(seed), nb, horizon)
         grid = [min(k * dt, horizon) for k in range(1, n_steps + 1)]
-        want_x, want_occ = np.zeros(nb), np.zeros(nb)
-        for p in range(nb):
-            jumps = dict(zip(times[paths == p], sizes[paths == p]))
-            x = o = t = 0.0
-            for epoch in sorted({*grid, *jumps}):
-                if x < x_barrier:
-                    o += epoch - t
-                x += HEAVY.drift * (epoch - t) + jumps.get(epoch, 0.0)
-                t = epoch
-            want_x[p], want_occ[p] = x, o
-        np.testing.assert_allclose(X, want_x, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(occ, want_occ, rtol=0.0, atol=1e-12)
-        # the walk covers sub-steps of rank 1: some path jumps twice within one step
-        steps = list(zip(paths, (times / dt).astype(np.int64)))
-        assert len(set(steps)) < len(steps)
-        assert 0.0 < occ.max() and occ.min() < horizon
+        below = [e for k in range(1, n_steps) if int((e := np.nextafter(k * dt, 0.0)) / dt) == k]
+        assert len(below) == 10
+        ulp_jumps = (np.array(below), np.full(len(below), 0.01), np.arange(len(below)))
+        for seeded in (True, False):
+            if not seeded:
+                monkeypatch.setattr(montecarlo, "_draw_jumps", lambda *args: ulp_jumps)
+            X, occ = montecarlo._simulate_batch(HEAVY, x_barrier, np.array([0.0, *grid]), nb,
+                                                _ZeroNormals(np.random.default_rng(seed)))
+            times, sizes, paths = montecarlo._draw_jumps(HEAVY, np.random.default_rng(seed), nb, horizon)
+            want_x, want_occ = np.zeros(nb), np.zeros(nb)
+            for p in range(nb):
+                jumps = dict(zip(times[paths == p], sizes[paths == p]))
+                x = o = t = 0.0
+                for epoch in sorted({*grid, *jumps}):
+                    if x < x_barrier:
+                        o += epoch - t
+                    x += HEAVY.drift * (epoch - t) + jumps.get(epoch, 0.0)
+                    t = epoch
+                want_x[p], want_occ[p] = x, o
+            np.testing.assert_allclose(X, want_x, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(occ, want_occ, rtol=0.0, atol=1e-12)
+            if seeded:
+                # the walk covers sub-steps of rank 1: some path jumps twice within one step
+                steps = list(zip(paths, (times / dt).astype(np.int64)))
+                assert len(set(steps)) < len(steps)
+                assert 0.0 < occ.max() and occ.min() < horizon
 
 
 class TestDeterminism:
