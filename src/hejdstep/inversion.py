@@ -153,7 +153,7 @@ def _prices(model: HejdModel, spec: DownOutStepSpec, t: float, x: float,
         solved = dict(zip(thetas, solve(model, spec, thetas)))
     except HejdStepError:  # an engine error: gs_invert solves one by one and names its abscissa
         solved = {}
-    solution = lambda th: solved[th] if th in solved else solve(model, spec, th)
+    solution = lambda th: solved[th] if th in solved else solve(model, spec, (th,))[0]
     raw = gs_invert(_transform(solution, x, quantities), t, order)
     factor = math.exp(spec.knock_rate * spec.seasoning)
     return {q: factor * value for q, value in zip(quantities, raw)}

@@ -81,6 +81,8 @@ class HejdModel:
 
         if not all(map(math.isfinite, (self.r, self.delta, self.sigma, self.lam))):
             raise ValueError("model scalars must be finite")
+        if not all(map(math.isfinite, self.up_weights + self.up_rates + self.down_weights + self.down_rates)):
+            raise ValueError("mixture weights and rates must be finite")
         if self.r < 0.0 or self.delta < 0.0:
             raise ValueError("r and delta must be non-negative")
         if self.sigma <= 0.0:

@@ -194,7 +194,7 @@ def simulate_terminal(
         raise ValueError(f"horizon must be finite and strictly positive, got {horizon!r}")
     if not 0.0 < x < math.inf:
         raise ValueError(f"spot must be finite and strictly positive, got {x!r}")
-    n_steps = int(math.ceil(horizon / cfg.dt - 1e-12))
+    n_steps = max(1, math.ceil(horizon / cfg.dt - 1e-12))  # one step at least: grid[0] = 0 < grid[-1] = horizon
     if cfg.n_paths * n_steps > _MAX_GRID_POINTS:
         raise BudgetError(
             f"n_paths * steps = {cfg.n_paths * n_steps:.3e} exceeds budget {_MAX_GRID_POINTS:.3e}"

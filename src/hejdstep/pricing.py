@@ -382,11 +382,10 @@ def _stack(sols: Sequence[MrEuropeanSolution]) -> MrEuropeanSolution:
 
 def _abscissa_cache(solve_stack: Callable) -> Callable:
     """Cache in front of solve_stack(model, spec, thetas), which solves a
-    tuple of abscissae of one (model, spec) together.  The cached function
-    takes one theta or a tuple of them and returns one solution or a tuple;
-    an lru_cache of 256 whole stacks (model, spec, thetas) keeps nothing of
-    a solve that raises.  cache_info() is lru_cache's, with hits and misses
-    counted per abscissa; __wrapped__ solves without the cache."""
+    tuple of abscissae of one (model, spec) together; the cached function
+    returns a tuple of solutions.  An lru_cache of 256 whole stacks keeps
+    nothing of a solve that raises.  cache_info() is lru_cache's, with hits
+    and misses counted per abscissa; __wrapped__ solves without the cache."""
     lock, counts = threading.Lock(), {"looked_up": 0, "solved": 0}
 
     @functools.lru_cache(maxsize=256)
@@ -396,13 +395,11 @@ def _abscissa_cache(solve_stack: Callable) -> Callable:
         return tuple(solve_stack(model, spec, thetas))
 
     def lookup(model, spec, thetas: tuple) -> tuple:
+        if not isinstance(thetas, tuple):  # refused before anything is counted
+            raise TypeError(f"thetas must be a tuple of abscissae, got {thetas!r}")
         with lock:
             counts["looked_up"] += len(thetas)
         return solve_cached(model, spec, thetas) if thetas else ()  # an empty stack is (), unsolved
-
-    def per_theta(run: Callable) -> Callable:  # one theta, or a tuple of them
-        return lambda model, spec, theta: (
-            tuple(run(model, spec, theta)) if isinstance(theta, tuple) else run(model, spec, (theta,))[0])
 
     def cache_info():
         with lock:
@@ -414,16 +411,15 @@ def _abscissa_cache(solve_stack: Callable) -> Callable:
             solve_cached.cache_clear()
             counts.update(looked_up=0, solved=0)
 
-    solve = functools.update_wrapper(per_theta(lookup), solve_stack)
+    solve = functools.update_wrapper(lookup, solve_stack)
     solve.cache_info, solve.cache_clear = cache_info, cache_clear
-    solve.__wrapped__ = per_theta(solve_stack)
     return solve
 
 
 @_abscissa_cache
 def solve_european_mr(model: HejdModel, spec: DownOutStepSpec, thetas: tuple) -> list[MrEuropeanSolution]:
     """Coefficients of the maturity-randomized European down-and-out step call
-    at theta, one abscissa or a tuple of them (then a tuple of solutions).
+    at each abscissa theta of thetas.
 
     Assembles the dense (2m+2n+4)-square system (or the reduced (m+n+2) one
     when the barrier is 0) of each abscissa with _assemble at the upper
@@ -616,9 +612,8 @@ def _bracket(euro: MrEuropeanSolution) -> tuple[float, float, float, float]:
 
 @_abscissa_cache
 def solve_american_mr(model: HejdModel, spec: DownOutStepSpec, thetas: tuple) -> list[MrAmericanSolution]:
-    """Randomized American solution at theta, one abscissa or a tuple of
-    them (then a tuple of solutions): an outer scalar search on each
-    abscissa's early-exercise boundary.
+    """Randomized American solution at each abscissa theta of thetas: an
+    outer scalar search on each abscissa's early-exercise boundary.
 
     The boundary is the unique sign change of the smooth-fit slope gap on
     (K, K*e^20].  Log-spaced grids of candidates bracket it, tried in turn

@@ -134,7 +134,7 @@ def test_criterion_5_oide_residual_oracle():
         theta = float(rng.uniform(0.5, 3.0))
         K, L = spec.strike, spec.barrier
 
-        euro = solve_european_mr(model, spec, theta)
+        euro = solve_european_mr(model, spec, (theta,))[0]
         grid = np.concatenate([
             np.linspace(0.75 * L, L - margin, 12),
             np.linspace(L + margin, K - margin, 20),
@@ -142,7 +142,7 @@ def test_criterion_5_oide_residual_oracle():
         ])
         worst_euro = max(worst_euro, oide_residual(model, spec, theta, euro, grid))
 
-        amer = solve_american_mr(model, spec, theta)
+        amer = solve_american_mr(model, spec, (theta,))[0]
         grid_a = np.linspace(L + margin, amer.boundary - margin, 50)
         worst_amer = max(worst_amer, oide_residual(model, spec, theta, amer, grid_a))
     ok = worst_euro <= 1e-6 and worst_amer <= 1e-6
@@ -200,7 +200,7 @@ def test_criterion_8_split_additivity_and_boundary_rows():
     worst_add = worst_smooth = 0.0
     boundary_ok = True
     for theta in (0.8, 1.5, 4.0):
-        sol = solve_american_mr(model, STEP, theta)
+        sol = solve_american_mr(model, STEP, (theta,))[0]
         w, w0, wj = sol.coef
         worst_add = max(worst_add, float(np.max(np.abs(w - (w0 + wj)))))
         worst_smooth = max(worst_smooth, sol.smooth_fit_residual)

@@ -127,7 +127,7 @@ def test_nan_gap_raises():
 def test_step_cap_in_the_pricer(monkeypatch, kou_model, step_spec):
     monkeypatch.setattr(pricing, "_BRENT_MAXITER", 1)
     with pytest.raises(ConvergenceError, match="american boundary search"):
-        solve_american_mr.__wrapped__(kou_model, step_spec, 1.3)
+        solve_american_mr.__wrapped__(kou_model, step_spec, (1.3,))
 
 
 def _fingerprint_american() -> list:

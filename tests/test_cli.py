@@ -292,6 +292,7 @@ class TestConfigFile:
         (("sigma = 0.2", "sigma = 0"), "<config>: sigma must be strictly positive"),
         (("L = 95", "L = 110"), "<config>: need 0 <= barrier <= strike < inf"),
         (("K = 100\nL = 95", "K = 0"), "<config>: strike must be strictly positive, got 0.0"),
+        (("xi = 25.0", "xi = nan"), "<config>: mixture weights and rates must be finite"),
     ])
     def test_faults_raise_config_error(self, edit, message):
         with pytest.raises(ConfigError) as info:

@@ -166,7 +166,7 @@ def _spots(spec: DownOutStepSpec) -> tuple[float, ...]:
 @pytest.mark.parametrize("model, spec", CASES)
 @pytest.mark.parametrize("theta", THETAS)
 def test_price_matches_decimal_solve_of_original_system(model, spec, theta):
-    sol = solve_european_mr(model, spec, theta)
+    sol = solve_european_mr(model, spec, (theta,))[0]
     for x in _spots(spec):
         want, terms = european_reference(sol, x)
         got = eval_european_mr(sol, x)

@@ -25,7 +25,7 @@ from hejdstep import (
     pricing,
     solve_european_mr,
 )
-from conftest import HEAVY, random_model, stehfest_weights
+from conftest import HEAVY, KOU, random_model, stehfest_weights
 from oracles import randomized_call
 
 EPS = sys.float_info.epsilon
@@ -35,6 +35,13 @@ _rng = np.random.default_rng(1729)
 MARKETS = [pytest.param(random_model(_rng), id=f"random-{i}") for i in range(3)] + [
     pytest.param(HejdModel(r=0.05, delta=0.07, sigma=s, lam=0.0), id=f"lambda-0-sigma-{s:g}")
     for s in (0.005, 0.02, 0.2)
+]
+# low volatility with jumps; a generator of its own leaves the draws above as they were
+_low_vol_rng = np.random.default_rng(5)
+MARKETS += [pytest.param(replace(KOU, sigma=s), id=f"kou-sigma-{s:g}") for s in (0.01, 0.03)] + [
+    pytest.param(replace(random_model(_low_vol_rng), sigma=float(_low_vol_rng.uniform(0.01, 0.05))),
+                 id=f"low-vol-random-{i}")
+    for i in range(2)
 ]
 THETAS = (0.05, 0.69, 9.7)
 SPOTS = (80.0, 100.0, 130.0)
@@ -99,7 +106,7 @@ def engine_error_bound(sol, x: float) -> float:
 @pytest.mark.parametrize("model", MARKETS)
 def test_randomized_price_matches_fourier_oracle(model):
     for theta in THETAS:
-        sols = [solve_european_mr(model, DownOutStepSpec(K, L, 0.0), theta) for L in (0.0, 95.0)]
+        sols = [solve_european_mr(model, DownOutStepSpec(K, L, 0.0), (theta,))[0] for L in (0.0, 95.0)]
         for x in SPOTS:
             want, oracle_err = randomized_call(model, K, theta, x)
             for sol in sols:
@@ -123,7 +130,7 @@ def test_time_domain_matches_exact_order7_sum_of_oracle(t):
             value, oracle_err = randomized_call(HEAVY, K, theta, x)
             exact += zeta * Fraction(value)
             w = abs(float(zeta))
-            bound += w * (oracle_err + engine_error_bound(solve_european_mr(HEAVY, spec, theta), x))
+            bound += w * (oracle_err + engine_error_bound(solve_european_mr(HEAVY, spec, (theta,))[0], x))
             magnitude += w * abs(value)
         got = price_time_domain(HEAVY, spec, t, x, "euro")
         assert abs(got - float(exact)) <= bound + 4.0 * EPS * magnitude, (x, got, float(exact), bound)

@@ -66,6 +66,9 @@ class TestModelValidation:
         (dict(down_rates=(0.0,)), "down_rates must be positive"),
         # the root finder divides by sigma**2 (1e-160 squares to a subnormal and stays valid)
         (dict(sigma=1e-200), "sigma**2 underflows to zero at sigma = 1e-200"),
+        (dict(up_rates=(math.inf,)), "mixture weights and rates must be finite"),
+        (dict(up_weights=(math.nan,)), "mixture weights and rates must be finite"),
+        (dict(down_rates=(math.nan,)), "mixture weights and rates must be finite"),
     ])
     def test_invalid_parameters_rejected(self, params, message):
         kou = dict(r=0.05, delta=0.07, sigma=0.2, lam=1.0, up_weights=(0.7,), up_rates=(25.0,),

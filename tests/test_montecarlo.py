@@ -96,10 +96,11 @@ class TestTerminalLaw:
         _, occ = simulate_terminal(kou_model, 100.0, 0.0, 0.1, cfg)
         assert np.all(occ == 0.0)
 
-    def test_infinite_barrier_always_occupied(self, kou_model):
+    @pytest.mark.parametrize("horizon", [0.1, 1e-16])
+    def test_infinite_barrier_always_occupied(self, kou_model, horizon):
         cfg = PathConfig(n_paths=10_000, dt=1e-3, seed=15)
-        _, occ = simulate_terminal(kou_model, 100.0, math.inf, 0.1, cfg)
-        assert np.all(occ == 0.1)
+        _, occ = simulate_terminal(kou_model, 100.0, math.inf, horizon, cfg)
+        assert np.all(occ == horizon)
 
 
 class _ZeroNormals:

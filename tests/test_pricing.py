@@ -46,12 +46,12 @@ def _one_sided_slope(f, s: float, direction: float, h: float = 1e-6) -> float:
 
 @pytest.fixture(scope="module")
 def kou_euro(kou_model, step_spec):
-    return solve_european_mr(kou_model, step_spec, THETA)
+    return solve_european_mr(kou_model, step_spec, (THETA,))[0]
 
 
 @pytest.fixture(scope="module")
 def kou_amer(kou_model, step_spec):
-    return solve_american_mr(kou_model, step_spec, THETA)
+    return solve_american_mr(kou_model, step_spec, (THETA,))[0]
 
 
 class TestEuropeanSystem:
@@ -106,7 +106,7 @@ class TestEuropeanSystem:
     @pytest.mark.parametrize("theta", [0.0, -0.5, math.inf])
     def test_theta_must_be_positive(self, kou_model, step_spec, theta):
         with pytest.raises(ValueError, match="theta must be strictly positive"):
-            solve_european_mr(kou_model, step_spec, theta)
+            solve_european_mr(kou_model, step_spec, (theta,))
 
     def test_failed_condition_estimate_raises(self, monkeypatch, kou_model, step_spec):
         def no_svd(Q):
@@ -114,7 +114,7 @@ class TestEuropeanSystem:
 
         monkeypatch.setattr(np.linalg, "cond", no_svd)
         with pytest.raises(SingularSystemError) as info:
-            solve_european_mr.__wrapped__(kou_model, step_spec, THETA)
+            solve_european_mr.__wrapped__(kou_model, step_spec, (THETA,))
         assert str(info.value) == "european system: condition estimate failed (SVD did not converge)"
 
     def test_linear_growth_at_infinity(self, kou_euro):
@@ -123,13 +123,13 @@ class TestEuropeanSystem:
         assert ratio == pytest.approx(kou_euro.slope_inf, rel=1e-6)
 
     def test_large_theta_collapses_to_payoff(self, kou_model, step_spec):
-        sol = solve_european_mr(kou_model, step_spec, 5e4)
+        sol = solve_european_mr(kou_model, step_spec, (5e4,))[0]
         for x in (80.0, 99.0, 101.0, 130.0):
             assert eval_european_mr(sol, x) == pytest.approx(max(x - 100.0, 0.0), abs=0.05)
 
     def test_rho_zero_smooth_across_barrier(self, kou_model, standard_spec):
         # with a zero knock rate the barrier is inert: value and slope glue
-        sol = solve_european_mr(kou_model, standard_spec, THETA)
+        sol = solve_european_mr(kou_model, standard_spec, (THETA,))[0]
         L = standard_spec.barrier
         lo = eval_european_mr(sol, L * (1.0 - 1e-9))
         hi = eval_european_mr(sol, L * (1.0 + 1e-9))
@@ -143,8 +143,8 @@ class TestEuropeanSystem:
         # the barrier's rows and columns left out or kept with an inert
         # barrier must produce the same vanilla price
         vanilla = DownOutStepSpec(strike=100.0, barrier=0.0, knock_rate=0.0)
-        s0 = solve_european_mr(kou_model, vanilla, THETA)
-        s1 = solve_european_mr(kou_model, standard_spec, THETA)
+        s0 = solve_european_mr(kou_model, vanilla, (THETA,))[0]
+        s1 = solve_european_mr(kou_model, standard_spec, (THETA,))[0]
         for x in (50.0, 90.0, 97.0, 100.0, 120.0):
             assert eval_european_mr(s0, x) == pytest.approx(eval_european_mr(s1, x), abs=1e-7)
 
@@ -152,7 +152,7 @@ class TestEuropeanSystem:
         # independent oracle: exponential-maturity sampling needs no grid at all
         vanilla = DownOutStepSpec(strike=100.0, barrier=0.0, knock_rate=0.0)
         theta = 1.1
-        sol = solve_european_mr(kou_model, vanilla, theta)
+        sol = solve_european_mr(kou_model, vanilla, (theta,))[0]
         engine = eval_european_mr(sol, 100.0)
 
         rng = np.random.default_rng(314159)
@@ -177,10 +177,10 @@ class TestEuropeanSystem:
 
     def test_near_degenerate_barrier_clamped(self, kou_model):
         spec = DownOutStepSpec(strike=100.0, barrier=100.0, knock_rate=-26.34)
-        sol = solve_european_mr(kou_model, spec, THETA)
+        sol = solve_european_mr(kou_model, spec, (THETA,))[0]
         assert math.isfinite(eval_european_mr(sol, 100.0))
         near = DownOutStepSpec(strike=100.0, barrier=100.0 * (1 - 1e-9), knock_rate=-26.34)
-        sol2 = solve_european_mr(kou_model, near, THETA)
+        sol2 = solve_european_mr(kou_model, near, (THETA,))[0]
         assert eval_european_mr(sol, 99.0) == pytest.approx(eval_european_mr(sol2, 99.0), rel=1e-6)
 
 
@@ -224,14 +224,14 @@ class TestAmericanSystem:
         m = HejdModel(r=0.05, delta=0.07, sigma=0.2, lam=1e-12,
                       up_weights=(0.7,), up_rates=(25.0,),
                       down_weights=(0.3,), down_rates=(50.0,))
-        sol = solve_american_mr(m, step_spec, THETA)
+        sol = solve_american_mr(m, step_spec, (THETA,))[0]
         grid = np.linspace(step_spec.barrier, sol.boundary * 0.999, 20)
         for x in grid:
             total, _diff, jump = eval_eep_split_mr(sol, x)
             assert abs(jump) < 1e-6 * max(total, 1e-6)
 
     def test_boundary_moves_toward_strike_for_large_theta(self, kou_model, step_spec):
-        bounds = [solve_american_mr(kou_model, step_spec, th).boundary for th in (0.7, 2.0, 8.0, 30.0)]
+        bounds = [solve_american_mr(kou_model, step_spec, (th,))[0].boundary for th in (0.7, 2.0, 8.0, 30.0)]
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[-1] < 110.0
 
@@ -240,7 +240,7 @@ class TestAmericanSystem:
                       up_weights=(0.7,), up_rates=(25.0,),
                       down_weights=(0.3,), down_rates=(50.0,))
         with pytest.raises(NoBoundaryError):
-            solve_american_mr(m, step_spec, THETA)
+            solve_american_mr(m, step_spec, (THETA,))
 
     def test_zero_dividend_price_names_the_abscissa(self, step_spec):
         # the calendar-time price reaches the solver's error, annotated with
@@ -257,15 +257,15 @@ class TestOrderingsAcrossKnockRates:
     def test_monotone_in_knock_rate(self, kou_model):
         # softer knock-out (rho closer to 0) is worth more, everywhere
         rhos = (-1e7, -100.0, -26.34, -1.0, 0.0)
-        sols = [solve_european_mr(kou_model, DownOutStepSpec(100.0, 95.0, r), THETA) for r in rhos]
+        sols = [solve_european_mr(kou_model, DownOutStepSpec(100.0, 95.0, r), (THETA,))[0] for r in rhos]
         for x in (80.0, 96.0, 100.0, 115.0):
             vals = [eval_european_mr(s, x) for s in sols]
             assert all(v1 <= v2 + 1e-10 for v1, v2 in zip(vals, vals[1:]))
 
     def test_barrier_step_standard_sandwich(self, kou_model, step_spec, standard_spec, barrier_spec):
-        s_bar = solve_european_mr(kou_model, barrier_spec, THETA)
-        s_step = solve_european_mr(kou_model, step_spec, THETA)
-        s_std = solve_european_mr(kou_model, standard_spec, THETA)
+        s_bar = solve_european_mr(kou_model, barrier_spec, (THETA,))[0]
+        s_step = solve_european_mr(kou_model, step_spec, (THETA,))[0]
+        s_std = solve_european_mr(kou_model, standard_spec, (THETA,))[0]
         for x in (85.0, 97.0, 100.0, 120.0):
             vb = eval_european_mr(s_bar, x)
             vs = eval_european_mr(s_step, x)
@@ -325,7 +325,7 @@ class TestEquationResidual:
         for _ in range(10):
             model, spec = random_model(rng), random_spec(rng)
             theta = float(rng.uniform(0.5, 3.0))
-            sol = solve_american_mr(model, spec, theta)
+            sol = solve_american_mr(model, spec, (theta,))[0]
             K, L, margin = spec.strike, spec.barrier, 2e-3 * spec.strike
             grid = np.concatenate([
                 np.linspace(0.75 * L, L - margin, 6),
@@ -358,13 +358,13 @@ class TestConcurrency:
         solve_american_mr.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = list(pool.map(
-                lambda th: eval_american_mr(solve_american_mr(kou_model, step_spec, th), 100.0),
+                lambda th: eval_american_mr(solve_american_mr(kou_model, step_spec, (th,))[0], 100.0),
                 thetas,
             ))
         solve_european_mr.cache_clear()
         solve_american_mr.cache_clear()
         sequential = [
-            eval_american_mr(solve_american_mr(kou_model, step_spec, th), 100.0) for th in thetas
+            eval_american_mr(solve_american_mr(kou_model, step_spec, (th,))[0], 100.0) for th in thetas
         ]
         assert parallel == sequential
 
@@ -372,7 +372,7 @@ class TestConcurrency:
 class TestZeroBarrierPremiumSplit:
     def test_split_pipeline_without_barrier(self, kou_model):
         vanilla = DownOutStepSpec(strike=100.0, barrier=0.0, knock_rate=0.0)
-        sol = solve_american_mr(kou_model, vanilla, THETA)
+        sol = solve_american_mr(kou_model, vanilla, (THETA,))[0]
         cD, _, cFm = sol.european.cols
         assert sol.coef[:, cD].size == 0 and sol.coef[:, cFm].size == 0
         for x in (60.0, 95.0, sol.boundary * 0.98, sol.boundary * 1.3):
@@ -513,7 +513,7 @@ class TestStackedBoundaryScan:
     def test_gaps_equal_per_candidate_loop(self, market, spec, kou_model, bs_model):
         model = {"kou": kou_model, "heavy": HEAVY, "bs": bs_model}[market]
         for theta in (0.05, math.log(2.0), 1.3, 9.7, 400.0):
-            euro = solve_european_mr(model, spec, theta)
+            euro = solve_european_mr(model, spec, (theta,))[0]
             pts = euro.log_strike + SCAN_GRID
             assert _stacked_scan(euro, pts).tolist() == _loop_scan(euro, pts)  # bit for bit
 
@@ -521,7 +521,7 @@ class TestStackedBoundaryScan:
     def test_assembly_equals_row_by_row_reference(self, market, spec, kou_model, bs_model):
         model = {"kou": kou_model, "heavy": HEAVY, "bs": bs_model}[market]
         for theta in (0.05, math.log(2.0), 1.3, 9.7, 400.0):
-            euro = solve_european_mr(model, spec, theta)
+            euro = solve_european_mr(model, spec, (theta,))[0]
             pts = euro.log_strike + SCAN_GRID
             Q, q, q0, qJ, cols = pricing._assemble(euro, pts)
             (w,), _, _ = pricing._solve_dense(Q, [q], "american system")
@@ -555,7 +555,7 @@ class TestStackedBoundaryScan:
     @pytest.mark.parametrize("poison", ["inf-matrix", "nan-rhs", "singular"])
     @pytest.mark.parametrize("j", [0, 7, 40])
     def test_forced_failure_stops_scan_at_candidate(self, monkeypatch, kou_model, step_spec, poison, j):
-        euro = solve_european_mr(kou_model, step_spec, THETA)
+        euro = solve_european_mr(kou_model, step_spec, (THETA,))[0]
         pts = euro.log_strike + SCAN_GRID
         check = "condition estimate" if poison == "singular" else "non-finite entries"
         # a later candidate failing an earlier check must not win
@@ -569,12 +569,12 @@ class TestStackedBoundaryScan:
     @pytest.mark.parametrize("where", [3, -1], ids=["before-bracket", "after-bracket"])
     def test_failing_candidate_raises(self, monkeypatch, kou_model, step_spec, kou_amer, where):
         # the Kou boundary at THETA brackets between these two candidates
-        euro = solve_european_mr(kou_model, step_spec, THETA)
+        euro = solve_european_mr(kou_model, step_spec, (THETA,))[0]
         pts = euro.log_strike + SCAN_GRID
         assert pts[3] < kou_amer.log_boundary < pts[-1]
         self._poison(monkeypatch, {pts[where]: "singular"})
         with pytest.raises(SingularSystemError, match="american system: condition estimate"):
-            solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+            solve_american_mr.__wrapped__(kou_model, step_spec, (THETA,))
 
 
 class TestBoundarySearchExits:
@@ -593,7 +593,7 @@ class TestBoundarySearchExits:
         return sizes
 
     def test_two_sign_changes_are_reported_in_spot_units(self, monkeypatch, kou_model, step_spec):
-        euro = solve_european_mr(kou_model, step_spec, THETA)
+        euro = solve_european_mr(kou_model, step_spec, (THETA,))[0]
         roots = (0.1, 1.0)  # log offsets from the strike
 
         def two_changes(sol, b_log, w):
@@ -602,7 +602,7 @@ class TestBoundarySearchExits:
 
         monkeypatch.setattr(pricing, "_smooth_fit_gap", two_changes)
         with pytest.raises(AmbiguousBoundaryError, match="2 smooth-fit sign changes") as err:
-            solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+            solve_american_mr.__wrapped__(kou_model, step_spec, (THETA,))
         # spot-unit brackets between neighbouring candidates of the first grid
         spots = [math.exp(b) for b in euro.log_strike + SCAN_GRID]
         pairs = list(zip(spots[:-1], spots[1:]))
@@ -613,11 +613,11 @@ class TestBoundarySearchExits:
             assert bracket[0] < step_spec.strike * math.exp(root) < bracket[1]
 
     def test_no_sign_change_tries_every_grid(self, monkeypatch, kou_model, step_spec):
-        solve_european_mr(kou_model, step_spec, THETA)  # cached: builds no system below
+        solve_european_mr(kou_model, step_spec, (THETA,))  # cached: builds no system below
         sizes = self._record_stacks(monkeypatch)
         monkeypatch.setattr(pricing, "_smooth_fit_gap", lambda sol, b_log, w: (np.ones(len(b_log)),) * 2)
         with pytest.raises(NoBoundaryError, match="no smooth-fit sign change"):
-            solve_american_mr.__wrapped__(kou_model, step_spec, THETA)
+            solve_american_mr.__wrapped__(kou_model, step_spec, (THETA,))
         assert sizes == [41, 12, 12, 25]
 
     @pytest.mark.parametrize("delta, r, theta, stacks, upper", [
@@ -628,9 +628,9 @@ class TestBoundarySearchExits:
     def test_expanded_grids_find_far_boundaries(self, monkeypatch, kou_model, step_spec,
                                                  delta, r, theta, stacks, upper):
         model = replace(kou_model, delta=delta, r=r)
-        solve_european_mr(model, step_spec, theta)
+        solve_european_mr(model, step_spec, (theta,))
         sizes = self._record_stacks(monkeypatch)
-        sol = solve_american_mr.__wrapped__(model, step_spec, theta)
+        sol = solve_american_mr.__wrapped__(model, step_spec, (theta,))[0]
         K = step_spec.strike
         assert K * math.exp(upper / 2.0) < sol.boundary <= K * math.exp(upper)
         assert sol.smooth_fit_residual <= 1e-8
@@ -671,7 +671,7 @@ class TestStackedAbscissae:
         alone = []
         for theta in ABSCISSAE:
             solve_european_mr.cache_clear()
-            alone.append(solve_american_mr.__wrapped__(model, spec, theta))
+            alone.append(solve_american_mr.__wrapped__(model, spec, (theta,))[0])
         solve_european_mr.cache_clear()
         stacked = solve_american_mr.__wrapped__(model, spec, ABSCISSAE)
         assert [_fields(s) for s in stacked] == [_fields(s) for s in alone]  # bit for bit
@@ -696,7 +696,7 @@ class TestStackedAbscissae:
             price_summary(kou_model, step_spec, 1.0, 100.0)
         solve_american_mr.cache_clear()
         with pytest.raises(ConvergenceError) as alone:
-            gs_invert(lambda th: eval_american_mr(solve_american_mr(kou_model, step_spec, th), 100.0), 1.0)
+            gs_invert(lambda th: eval_american_mr(solve_american_mr(kou_model, step_spec, (th,))[0], 100.0), 1.0)
         assert str(quote.value) == str(alone.value)
         assert str(quote.value).endswith(f"theta={theta5:.9g} (k=5, t=1.0)")
         # abscissae 1-4, solved one by one before k = 5 failed, as alone
@@ -720,6 +720,15 @@ class TestStackedAbscissae:
         # the failed stack's 14 misses in each cache, and no one-abscissa retries
         assert [solve.cache_info()[1:] for solve in (solve_european_mr, solve_american_mr)] == [(14, 256, 0)] * 2
 
+    @pytest.mark.parametrize("thetas", [0.69, [0.69, 1.39]], ids=["float", "list"])
+    def test_a_stack_that_is_not_a_tuple_is_refused_uncounted(self, kou_model, step_spec, thetas):
+        for solve in (solve_european_mr, solve_american_mr):
+            before = solve.cache_info()
+            with pytest.raises(TypeError) as info:
+                solve(kou_model, step_spec, thetas)
+            assert str(info.value) == f"thetas must be a tuple of abscissae, got {thetas!r}"
+            assert solve.cache_info() == before
+
     def test_cold_quote_counts_14_misses_per_cache(self, kou_model, step_spec):
         solve_european_mr.cache_clear()
         solve_american_mr.cache_clear()
@@ -739,7 +748,7 @@ class TestStackedAbscissae:
             return [(model, th) for th in thetas]
 
         solve = pricing._abscissa_cache(solve_stack)
-        assert solve("a", "s", 1.0) == ("a", 1.0) and solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0))
+        assert solve("a", "s", (1.0,)) == (("a", 1.0),) and solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0))
         assert solved == [(1.0,), (1.0, 2.0)]  # an overlapping stack is solved whole
         assert solve("a", "s", (1.0, 2.0)) == (("a", 1.0), ("a", 2.0)) and len(solved) == 2
         assert solve.cache_info() == (2, 3, 256, 2)  # hits and misses per abscissa, size in stacks
@@ -748,15 +757,15 @@ class TestStackedAbscissae:
         assert solve.cache_info().currsize == 2  # nothing of a failed solve
         solve.cache_clear()
         assert solve.cache_info() == (0, 0, 256, 0)
-        solve("a", "s", 1.0)
+        solve("a", "s", (1.0,))
         for k in range(255):
             solve("c", "s", (float(k), -1.0))
         assert solve.cache_info().currsize == 256
-        solve("a", "s", 1.0)  # the stack ("c", (0.0, -1.0)) is now the least recently used
-        solve("d", "s", 1.0)  # 257 stacks: that one goes
+        solve("a", "s", (1.0,))  # the stack ("c", (0.0, -1.0)) is now the least recently used
+        solve("d", "s", (1.0,))  # 257 stacks: that one goes
         assert solve.cache_info().currsize == 256
         solved.clear()
-        solve("a", "s", 1.0)
+        solve("a", "s", (1.0,))
         solve("c", "s", (1.0, -1.0))
         assert solved == []
         solve("c", "s", (0.0, -1.0))

@@ -27,7 +27,7 @@ outputs on:
   This is the single-quantity path that the greeks surfaces, the
   Monte-Carlo cross-check and ``price --quantity`` take;
 - the randomized exercise boundary, ``log_boundary`` of
-  ``solve_american_mr(model, spec, k log2 / t)`` at k = 1..14, for every
+  ``solve_american_mr(model, spec, (k log2 / t,))`` at k = 1..14, for every
   distinct (model, spec, t) of the price_summary contracts and for the
   jump-heavy m = n = 3 market with the step contract at t = 1.  They pin
   the boundary search's result itself, beside the prices built on it.
@@ -154,7 +154,7 @@ def lines() -> list[str]:
         for k, theta in enumerate(_abscissae(t, 7), start=1):
             label = f"solve_american_mr[{name} t={t!r} k={k}].log_boundary"
             try:
-                sol = hejdstep.solve_american_mr(model, spec, theta)
+                (sol,) = hejdstep.solve_american_mr(model, spec, (theta,))
                 out.append(f"{label} {sol.log_boundary.hex()}")
             except hejdstep.HejdStepError as exc:
                 out.append(f"{label} {type(exc).__name__}: {exc}")
